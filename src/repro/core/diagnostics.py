@@ -140,14 +140,16 @@ class PropagationBuildStats:
         total_bytes: int,
         failed_nodes: Tuple[int, ...] = (),
         n_resumed: int = 0,
+        phase: str = "propagation.build_all",
     ) -> "PropagationBuildStats":
         """View one build's stats out of a registry delta snapshot.
 
         *delta* is ``registry.snapshot().delta(before)`` taken around one
-        :meth:`~repro.core.propagation.PropagationIndex.build_all` call;
-        the ``propagation.*`` counters and the
-        ``phase.propagation.build_all.seconds`` histogram it carries are
-        the single source of truth for throughput accounting. Quantities
+        :meth:`~repro.core.propagation.PropagationIndex.build_all` (or
+        ``build_sharded``) call; the ``propagation.*`` counters and the
+        ``phase.<phase>.seconds`` histogram of the build's span (*phase*,
+        e.g. ``propagation.build_sharded``) it carries are the single
+        source of truth for throughput accounting. Quantities
         a snapshot cannot express (cache size after the call, the worker
         count, which nodes failed) come in as keywords.
 
@@ -156,14 +158,14 @@ class PropagationBuildStats:
         long-lived shared registry it is an upper bound over all builds,
         not only this one.
         """
-        phase = delta.histogram("phase.propagation.build_all.seconds")
+        seconds = delta.histogram(f"phase.{phase}.seconds")
         entry_bytes = delta.histogram("propagation.entry_bytes")
         return cls(
             n_entries=int(n_entries),
             n_built=int(delta.counter("propagation.entries_built")),
             total_branches=int(delta.counter("propagation.branches")),
             total_members=int(delta.counter("propagation.members")),
-            wall_seconds=phase.sum if phase is not None else 0.0,
+            wall_seconds=seconds.sum if seconds is not None else 0.0,
             workers=int(workers),
             peak_entry_bytes=(
                 int(entry_bytes.max)

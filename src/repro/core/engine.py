@@ -258,12 +258,13 @@ class PITEngine:
     def walk_index(self) -> WalkIndex:
         """The shared Algorithm 6 walk index (built on first access)."""
         if self._walk_index is None:
-            self._walk_index = WalkIndex.built(
-                self._graph,
-                self._walk_length,
-                self._samples,
-                seed=self._rng,
-            )
+            with trace("summarize.walk_index", registry=self._metrics):
+                self._walk_index = WalkIndex.built(
+                    self._graph,
+                    self._walk_length,
+                    self._samples,
+                    seed=self._rng,
+                )
         return self._walk_index
 
     @property

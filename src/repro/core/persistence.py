@@ -23,7 +23,7 @@ graph.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Sequence, Union
+from typing import Dict, Sequence, Union
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .._artifacts import (
 from ..exceptions import ArtifactCorruptedError, ConfigurationError, IndexNotBuiltError
 from ..graph import SocialGraph
 from ..walks import WalkIndex
-from ..walks.engine import WalkRecord
 from .propagation import PropagationEntry, PropagationIndex
 from .summarization import TopicSummary
 
@@ -257,22 +256,16 @@ def save_walk_index(index: WalkIndex, path: PathLike) -> None:
     """Write a built walk index to NPZ (paths flattened with offsets)."""
     if not index.is_built:
         raise IndexNotBuiltError("cannot save an unbuilt WalkIndex")
-    flat_paths: List[int] = []
-    flat_counts: List[int] = []
-    offsets: List[int] = [0]
-    for node in range(index.graph.n_nodes):
-        for record in index.walks_from(node):
-            flat_paths.extend(int(v) for v in record.path)
-            flat_counts.extend(int(c) for c in record.visit_counts)
-            offsets.append(len(flat_paths))
+    paths = index.padded_paths()
+    keep = paths >= 0
     save_npz_payload(Path(path), {
         "n_nodes": np.asarray([index.graph.n_nodes]),
         "n_edges": np.asarray([index.graph.n_edges]),
         "walk_length": np.asarray([index.walk_length]),
         "samples": np.asarray([index.samples_per_node]),
-        "offsets": np.asarray(offsets, dtype=np.int64),
-        "paths": np.asarray(flat_paths, dtype=np.int64),
-        "counts": np.asarray(flat_counts, dtype=np.int64),
+        "offsets": np.concatenate([[0], np.cumsum(keep.sum(axis=1))]),
+        "paths": paths[keep],
+        "counts": index._counts[keep].astype(np.int64),
         "hit": index.hitting_frequencies(),
     })
 
@@ -280,8 +273,9 @@ def save_walk_index(index: WalkIndex, path: PathLike) -> None:
 def load_walk_index(path: PathLike, graph: SocialGraph) -> WalkIndex:
     """Read a walk index written by :func:`save_walk_index`.
 
-    The reverse-reachability sets are reconstructed from the stored paths,
-    so the loaded index answers every query identically to the saved one.
+    The flat paths and counts are scattered back into the index's padded
+    columns and the reverse-reachability CSR is rebuilt from them, so the
+    loaded index answers every query identically to the saved one.
     """
     path = Path(path)
     payload = load_npz_payload(path, "walk index artifact")
@@ -296,29 +290,32 @@ def load_walk_index(path: PathLike, graph: SocialGraph) -> WalkIndex:
         int(payload["walk_length"][0]),
         int(payload["samples"][0]),
     )
-    samples = index.samples_per_node
+    n_walks = graph.n_nodes * index.samples_per_node
     offsets = payload["offsets"]
     paths = payload["paths"]
     counts = payload["counts"]
-    walks: List[List[WalkRecord]] = [[] for _ in range(graph.n_nodes)]
-    reverse = [set() for _ in range(graph.n_nodes)]
-    cursor = 0
-    try:
-        for node in range(graph.n_nodes):
-            for _ in range(samples):
-                lo, hi = int(offsets[cursor]), int(offsets[cursor + 1])
-                cursor += 1
-                path_arr = paths[lo:hi].copy()
-                count_arr = counts[lo:hi].copy()
-                steps = int(count_arr.sum() - 1)
-                walks[node].append(WalkRecord(path_arr, count_arr, steps))
-                for visited in path_arr[1:]:
-                    reverse[int(visited)].add(node)
-    except (IndexError, ValueError) as exc:
+    hit = payload["hit"]
+    sizes = np.diff(offsets)
+    if (
+        offsets.size != n_walks + 1
+        or offsets[0] != 0
+        or sizes.min(initial=1) < 1
+        or offsets[-1] != paths.size
+        or counts.shape != paths.shape
+        or counts.min(initial=1) < 1
+        or paths.min(initial=0) < 0
+        or paths.max(initial=0) >= graph.n_nodes
+        or hit.shape != (index.walk_length + 1, graph.n_nodes)
+    ):
         raise ArtifactCorruptedError(
-            path, reason=f"inconsistent walk payload ({exc})"
-        ) from exc
-    index._walks = walks
-    index._hit_frequency = payload["hit"]
-    index._reverse = reverse
+            path, reason="inconsistent walk payload (offsets, paths, counts "
+            "and hit do not frame one walk per sample)"
+        )
+    rows = np.repeat(np.arange(n_walks), sizes)
+    cols = np.arange(paths.size) - np.repeat(offsets[:-1], sizes)
+    padded = np.full((n_walks, int(sizes.max(initial=1))), -1, dtype=np.int64)
+    padded[rows, cols] = paths
+    aligned = np.zeros(padded.shape, dtype=np.int32)
+    aligned[rows, cols] = counts
+    index._adopt(padded, aligned, hit)
     return index

@@ -988,6 +988,7 @@ class PropagationIndex:
             total_bytes=bytes_written,
             failed_nodes=tuple(sorted(set(failed_all))),
             n_resumed=n_resumed,
+            phase="propagation.build_sharded",
         )
         if failed_all:
             warnings.warn(

@@ -7,9 +7,9 @@ Algorithm 6 of the paper, a walk *may* revisit nodes, but the recorded path
 is deduplicated: each node is appended only on its first visit. A walk
 terminates early at a dead end (node with no out-edges).
 
-:class:`WalkEngine` pre-computes per-node cumulative probability tables so a
-step is a single binary search, which is what makes index construction on
-tens of thousands of nodes practical in pure Python.
+:class:`WalkEngine` pre-computes one cumulative probability table over the
+CSR layout, so a step is a single binary search and a block of walks steps
+together with one vectorized search (:meth:`WalkEngine.advance`).
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .._utils import SeedLike, coerce_rng, require_in_range
-from ..exceptions import ConfigurationError
 from ..graph import SocialGraph
 
-__all__ = ["WalkEngine", "WalkRecord"]
+__all__ = ["WalkEngine", "WalkRecord", "first_visits"]
 
 
 class WalkRecord:
@@ -49,6 +48,12 @@ class WalkRecord:
         self.path = path
         self.visit_counts = visit_counts
         self.steps_taken = steps_taken
+
+    @classmethod
+    def from_row(cls, path: np.ndarray, counts: np.ndarray) -> "WalkRecord":
+        """The record of one ``-1``-padded path row and its aligned counts."""
+        keep = path >= 0
+        return cls(path[keep], counts[keep].astype(np.int64), int(counts.sum()) - 1)
 
     def __len__(self) -> int:
         return int(self.path.size)
@@ -79,8 +84,7 @@ class WalkEngine:
         self._weighted = bool(weighted)
         self._rng = coerce_rng(seed)
         # Per-node cumulative transition mass, aligned with the CSR layout.
-        probs = graph._out_probs
-        self._cumprobs = np.cumsum(probs)
+        self._cumprobs = np.cumsum(graph._out_probs)
         self._indptr = graph._out_indptr
         self._targets = graph._out_targets
 
@@ -96,19 +100,49 @@ class WalkEngine:
 
     # ------------------------------------------------------------------
     def step(self, node: int) -> Optional[int]:
-        """One transition out of *node*; ``None`` at a dead end."""
-        lo = int(self._indptr[node])
-        hi = int(self._indptr[node + 1])
-        if lo == hi:
+        """One transition out of *node*; ``None`` at a dead end (no draw)."""
+        if self._indptr[node] == self._indptr[node + 1]:
             return None
-        if not self._weighted:
-            return int(self._targets[lo + self._rng.integers(hi - lo)])
-        base = self._cumprobs[lo - 1] if lo > 0 else 0.0
-        total = self._cumprobs[hi - 1] - base
-        draw = base + self._rng.random() * total
-        j = int(np.searchsorted(self._cumprobs[lo:hi], draw, side="right"))
-        j = min(j, hi - lo - 1)
-        return int(self._targets[lo + j])
+        draw = np.asarray([self._rng.random()])
+        return int(self.advance(np.asarray([node]), draw)[0])
+
+    def advance(self, nodes: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """One transition out of each of *nodes*, driven by uniform *draws*.
+
+        Weighted: one global ``searchsorted`` of the cumulative table, clamped
+        to each node's CSR range. Unweighted: neighbour ``floor(u * deg)``.
+        Dead ends yield ``-1``.
+        """
+        lo, hi = self._indptr[nodes], self._indptr[nodes + 1]
+        out = np.full(nodes.shape, -1, dtype=np.int64)
+        live = np.flatnonzero(hi > lo)
+        lo, hi, u = lo[live], hi[live], draws[live]
+        if self._weighted:
+            cum = self._cumprobs
+            base = np.where(lo > 0, cum[lo - 1], 0.0)
+            pick = np.searchsorted(cum, base + u * (cum[hi - 1] - base), side="right")
+        else:
+            pick = lo + (u * (hi - lo)).astype(np.int64)
+        out[live] = self._targets[np.clip(pick, lo, hi - 1)]
+        return out
+
+    def walk_block(self, starts: np.ndarray, length: int) -> np.ndarray:
+        """Advance one walk from each of *starts* together, *length* steps.
+
+        Returns the ``(len(starts), length + 1)`` trail: column ``j`` is the
+        node each walk reached at step ``j`` (column 0 its start), ``-1``
+        after a dead end. Walk ``w`` takes step ``j`` from draw
+        ``w * length + j - 1``; a dead end leaves the rest of its slot unread.
+        """
+        draws = self._rng.random(starts.size * length).reshape(starts.size, length)
+        trail = np.full((starts.size, length + 1), -1, dtype=np.int64)
+        trail[:, 0] = starts
+        live = np.arange(starts.size)
+        for j in range(1, length + 1):
+            nxt = self.advance(trail[live, j - 1], draws[live, j - 1])
+            live, nxt = live[nxt >= 0], nxt[nxt >= 0]
+            trail[live, j] = nxt
+        return trail
 
     def walk(self, start: int, length: int) -> WalkRecord:
         """Sample one walk of up to *length* transitions from *start*.
@@ -116,33 +150,32 @@ class WalkEngine:
         The returned record's ``path`` is the deduplicated first-visit order
         (Algorithm 6 semantics); revisits only increase ``visit_counts``.
         """
-        require_in_range("length", length, 0)
-        start = self._graph._check_node(start)
-        path: List[int] = [start]
-        position = {start: 0}
-        counts: List[int] = [1]
-        current = start
-        steps = 0
-        for _ in range(length):
-            nxt = self.step(current)
-            if nxt is None:
-                break
-            steps += 1
-            seen_at = position.get(nxt)
-            if seen_at is None:
-                position[nxt] = len(path)
-                path.append(nxt)
-                counts.append(1)
-            else:
-                counts[seen_at] += 1
-            current = nxt
-        return WalkRecord(
-            np.asarray(path, dtype=np.int64),
-            np.asarray(counts, dtype=np.int64),
-            steps,
-        )
+        return self.walks(start, 1, length)[0]
 
     def walks(self, start: int, count: int, length: int) -> List[WalkRecord]:
-        """Sample *count* independent walks from *start*."""
+        """Sample *count* independent walks from *start* as one block."""
         require_in_range("count", count, 1)
-        return [self.walk(start, length) for _ in range(count)]
+        require_in_range("length", length, 0)
+        starts = np.full(count, self._graph._check_node(start), dtype=np.int64)
+        paths, counts, _ = first_visits(self.walk_block(starts, length))
+        return [WalkRecord.from_row(p, c) for p, c in zip(paths, counts)]
+
+
+def first_visits(trail: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fold walk trails (see :meth:`WalkEngine.walk_block`) into Algorithm 6 form.
+
+    Returns ``(paths, counts, running)``, all shaped like *trail*: each
+    walk's nodes in first-visit order, ``-1``-padded; their visit counts;
+    and ``running[w, j]``, the visits to ``trail[w, j]`` up to and including
+    step ``j`` (meaningless where the trail is ``-1``).
+    """
+    same = trail[:, :, None] == trail[:, None, :]
+    running = np.tril(same).sum(axis=2)
+    first = (running == 1) & (trail >= 0)
+    rank = np.cumsum(first, axis=1) - 1
+    rows, cols = np.nonzero(first)
+    paths = np.full(trail.shape, -1, dtype=np.int64)
+    counts = np.zeros(trail.shape, dtype=np.int32)
+    paths[rows, rank[rows, cols]] = trail[rows, cols]
+    counts[rows, rank[rows, cols]] = same[rows, cols].sum(axis=1)
+    return paths, counts, running

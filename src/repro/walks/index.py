@@ -8,6 +8,9 @@ reachability index ``I_L[v]`` listing the walk start nodes whose walks
 reached ``v`` (the Monte-Carlo stand-in for "nodes that can reach v within L
 hops" used by Algorithms 1 and 4).
 
+Storage is column-wise: a ``-1``-padded path matrix (row ``v * R + k`` is
+walk ``k`` of node ``v``), visit counts aligned with it and ``I_L`` as CSR.
+
 The paper bounds the sample size ``R`` via the Hoeffding inequality;
 :func:`hoeffding_sample_size` reproduces that bound so callers can pick
 ``R`` from a target accuracy instead of guessing.
@@ -16,16 +19,19 @@ The paper bounds the sample size ``R`` via the Hoeffding inequality;
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Set
 
 import numpy as np
 
-from .._utils import SeedLike, coerce_rng, require_in_range
+from .._utils import SeedLike, require_in_range
 from ..exceptions import ConfigurationError, IndexNotBuiltError
 from ..graph import SocialGraph
-from .engine import WalkEngine, WalkRecord
+from .engine import WalkEngine, WalkRecord, first_visits
 
 __all__ = ["WalkIndex", "hoeffding_sample_size"]
+
+#: Walks advanced together by one block of :meth:`WalkIndex.build`.
+_BLOCK_WALKS = 1 << 14
 
 
 def hoeffding_sample_size(epsilon: float, delta: float) -> int:
@@ -60,47 +66,25 @@ class WalkIndex:
     Call :meth:`build` (or construct via :meth:`built`) before querying.
     """
 
-    def __init__(
-        self,
-        graph: SocialGraph,
-        walk_length: int,
-        samples_per_node: int,
-        *,
-        weighted: bool = True,
-        seed: SeedLike = None,
-    ):
+    def __init__(self, graph: SocialGraph, walk_length: int, samples_per_node: int,
+                 *, weighted: bool = True, seed: SeedLike = None):
         require_in_range("walk_length", walk_length, 1)
         require_in_range("samples_per_node", samples_per_node, 1)
         self._graph = graph
         self._length = int(walk_length)
         self._samples = int(samples_per_node)
         self._engine = WalkEngine(graph, weighted=weighted, seed=seed)
-        self._walks: Optional[List[List[WalkRecord]]] = None
-        self._hit_frequency: Optional[np.ndarray] = None
-        self._reverse: Optional[List[Set[int]]] = None
-        self._padded: Optional[np.ndarray] = None
+        # The column store, filled by build() or load (see _adopt).
+        self._paths = self._counts = self._hit_frequency = None
+        self._reverse_indptr = self._reverse_starts = None
+        self._records: Dict[int, List[WalkRecord]] = {}
 
     # ------------------------------------------------------------------
     @classmethod
-    def built(
-        cls,
-        graph: SocialGraph,
-        walk_length: int,
-        samples_per_node: int,
-        *,
-        weighted: bool = True,
-        seed: SeedLike = None,
-    ) -> "WalkIndex":
+    def built(cls, graph: SocialGraph, walk_length: int, samples_per_node: int,
+              *, weighted: bool = True, seed: SeedLike = None) -> "WalkIndex":
         """Construct and immediately :meth:`build` an index."""
-        index = cls(
-            graph,
-            walk_length,
-            samples_per_node,
-            weighted=weighted,
-            seed=seed,
-        )
-        index.build()
-        return index
+        return cls(graph, walk_length, samples_per_node, weighted=weighted, seed=seed).build()
 
     @property
     def graph(self) -> SocialGraph:
@@ -120,10 +104,10 @@ class WalkIndex:
     @property
     def is_built(self) -> bool:
         """Whether :meth:`build` has completed."""
-        return self._walks is not None
+        return self._paths is not None
 
     def _require_built(self) -> None:
-        if self._walks is None:
+        if self._paths is None:
             raise IndexNotBuiltError("WalkIndex.build() has not been called")
 
     # ------------------------------------------------------------------
@@ -131,74 +115,68 @@ class WalkIndex:
         """Run Algorithm 6: sample walks and fill I, H and I_L.
 
         Idempotent: calling build twice leaves the first result in place.
+        Blocks of walks advance together (:meth:`WalkEngine.walk_block`).
         """
-        if self._walks is not None:
+        if self._paths is not None:
             return self
-        n = self._graph.n_nodes
-        length = self._length
-        samples = self._samples
-        inv_r = 1.0 / samples
-
-        walks: List[List[WalkRecord]] = [[] for _ in range(n)]
+        n, length, samples = self._graph.n_nodes, self._length, self._samples
         # Row j (1-based step) holds H[j][v]; row 0 stays zero.
         hit = np.zeros((length + 1, n), dtype=np.float64)
-        reverse: List[Set[int]] = [set() for _ in range(n)]
-
-        for start in range(n):
-            for _ in range(samples):
-                record = self._sample_and_account(start, length, inv_r, hit, reverse)
-                walks[start].append(record)
-
-        self._walks = walks
-        self._hit_frequency = hit
-        self._reverse = reverse
+        # freq[c] is c/R summed as c sequential additions of 1/R.
+        freq = np.cumsum(np.r_[0.0, np.full(length + 1, 1.0 / samples)])
+        starts = np.repeat(np.arange(n, dtype=np.int64), samples)
+        paths, counts = [], []
+        for lo in range(0, max(n * samples, 1), _BLOCK_WALKS):  # >= 1 block
+            trail = self._engine.walk_block(starts[lo : lo + _BLOCK_WALKS], length)
+            block_paths, block_counts, running = first_visits(trail)
+            paths.append(block_paths)
+            counts.append(block_counts)
+            # H[j][v]: the highest visit frequency of v at step j of any walk.
+            rows, steps = np.nonzero(trail[:, 1:] >= 0)
+            steps += 1
+            np.maximum.at(hit, (steps, trail[rows, steps]), freq[running[rows, steps]])
+        self._adopt(np.concatenate(paths), np.concatenate(counts), hit)
         return self
 
-    def _sample_and_account(
-        self,
-        start: int,
-        length: int,
-        inv_r: float,
-        hit: np.ndarray,
-        reverse: List[Set[int]],
-    ) -> WalkRecord:
-        """One walk plus its Algorithm 6 bookkeeping (lines 6-19)."""
-        path: List[int] = [start]
-        position: Dict[int, int] = {start: 0}
-        counts: List[int] = [1]
-        visited: Dict[int, float] = {start: inv_r}
-        current = start
-        steps = 0
-        for j in range(1, length + 1):
-            nxt = self._engine.step(current)
-            if nxt is None:
-                break
-            steps += 1
-            if nxt not in visited:
-                visited[nxt] = inv_r
-                position[nxt] = len(path)
-                path.append(nxt)
-                counts.append(1)
-                reverse[nxt].add(start)
-            else:
-                visited[nxt] += inv_r
-                counts[position[nxt]] += 1
-            if hit[j][nxt] < visited[nxt]:
-                hit[j][nxt] = visited[nxt]
-            current = nxt
-        return WalkRecord(
-            np.asarray(path, dtype=np.int64),
-            np.asarray(counts, dtype=np.int64),
-            steps,
-        )
+    def _adopt(self, paths: np.ndarray, counts: np.ndarray, hit: np.ndarray) -> None:
+        """Install the columns, trimmed to the longest path, and derive ``I_L``.
+
+        ``I_L[v]`` collects the start of every walk whose path holds ``v``
+        past position 0, sorted and deduplicated into CSR arrays. A walk's
+        steps are its total visits minus one, so they need no column.
+        """
+        width = int((paths >= 0).sum(axis=1).max(initial=1))
+        paths = np.ascontiguousarray(paths[:, :width])
+        counts = np.ascontiguousarray(counts[:, :width])
+        n = self._graph.n_nodes
+        rows, cols = np.nonzero(paths[:, 1:] >= 0)
+        keys = np.sort(paths[rows, cols + 1] * n + rows // self._samples)
+        reached, members = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(reached, minlength=n), out=indptr[1:])
+        for array in (paths, counts):
+            array.setflags(write=False)
+        self._paths, self._counts, self._hit_frequency = paths, counts, hit
+        self._reverse_indptr, self._reverse_starts = indptr, members
+        self._records = {}
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def walks_from(self, node: int) -> List[WalkRecord]:
-        """The ``R`` walk records sampled from *node* (``I[.][node]``)."""
+        """The ``R`` walk records sampled from *node* (``I[.][node]``).
+
+        Cut from the columns on first request and memoized per node.
+        """
         self._require_built()
-        return self._walks[self._graph._check_node(node)]
+        node = self._graph._check_node(node)
+        records = self._records.get(node)
+        if records is None:
+            rows = range(node * self._samples, (node + 1) * self._samples)
+            records = self._records[node] = [
+                WalkRecord.from_row(self._paths[k], self._counts[k]) for k in rows
+            ]
+        return records
 
     def padded_paths(self) -> np.ndarray:
         """Every walk's first-visit path as one padded int matrix.
@@ -206,20 +184,11 @@ class WalkIndex:
         Shape ``(n_nodes * R, width)`` int64, padded with ``-1``: row
         ``v * R + k`` is walk ``k`` of node ``v`` (column 0 the start
         node), so a batch of source nodes maps to row blocks with pure
-        arithmetic - no per-record Python loop. Built lazily on first
-        call and cached; the array is read-only shared state, do not
-        mutate it.
+        arithmetic - no per-record Python loop. The index's own read-only
+        path column, not a copy.
         """
         self._require_built()
-        if self._padded is None:
-            records = [r for walks in self._walks for r in walks]
-            width = max(r.path.size for r in records)
-            padded = np.full((len(records), width), -1, dtype=np.int64)
-            for k, record in enumerate(records):
-                padded[k, : record.path.size] = record.path
-            padded.setflags(write=False)
-            self._padded = padded
-        return self._padded
+        return self._paths
 
     def hitting_frequency(self, step: int, node: int) -> float:
         """``H[step][node]`` - max per-walk visit frequency at walk step *step*.
@@ -243,21 +212,17 @@ class WalkIndex:
         already visited).
         """
         self._require_built()
-        members = self._reverse[self._graph._check_node(node)]
-        return np.asarray(sorted(members), dtype=np.int64)
+        node = self._graph._check_node(node)
+        lo, hi = self._reverse_indptr[node : node + 2]
+        return self._reverse_starts[lo:hi].copy()
 
     def reverse_reachable_set(self, node: int) -> Set[int]:
-        """``I_L[node]`` as a set (no copy of the internal set is exposed)."""
-        self._require_built()
-        return set(self._reverse[self._graph._check_node(node)])
+        """``I_L[node]`` as a set."""
+        return set(self.reverse_reachable(node).tolist())
 
     def memory_bytes(self) -> int:
-        """Approximate resident size of the index payload, in bytes."""
+        """Resident size of the index columns and tables, in bytes."""
         self._require_built()
-        total = self._hit_frequency.nbytes
-        for records in self._walks:
-            for record in records:
-                total += record.path.nbytes + record.visit_counts.nbytes
-        for members in self._reverse:
-            total += 8 * len(members)
-        return int(total)
+        arrays = (self._paths, self._counts, self._hit_frequency,
+                  self._reverse_indptr, self._reverse_starts)
+        return int(sum(array.nbytes for array in arrays))

@@ -6,6 +6,7 @@ from repro.core import PITEngine, Summarizer, TopicSummary
 from repro.datasets import data_2k
 from repro.exceptions import ConfigurationError
 from repro.graph import GraphBuilder
+from repro.obs import MetricsRegistry
 from repro.topics import TopicIndex
 
 
@@ -52,6 +53,16 @@ class TestLazyBuild:
         _ = engine.walk_index
         assert engine._walk_index is not None
         assert engine.walk_index is engine._walk_index
+
+    def test_walk_index_build_traced(self, bundle):
+        registry = MetricsRegistry()
+        engine = PITEngine.from_dataset(
+            bundle, samples_per_node=5, seed=17, metrics=registry
+        )
+        _ = engine.walk_index
+        _ = engine.walk_index  # cached: no second span
+        phase = registry.snapshot().histogram("phase.summarize.walk_index.seconds")
+        assert phase is not None and phase.count == 1 and phase.sum > 0
 
     def test_summary_cached(self, engine):
         first = engine.summary(0)

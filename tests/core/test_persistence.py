@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro._artifacts import load_npz_payload, save_npz_payload
 from repro.core import (
     PropagationIndex,
     TopicSummary,
@@ -127,6 +128,7 @@ class TestWalkIndexPersistence:
             for a, b in zip(original, restored):
                 assert a.path.tolist() == b.path.tolist()
                 assert a.visit_counts.tolist() == b.visit_counts.tolist()
+                assert a.steps_taken == b.steps_taken
             assert (
                 loaded.reverse_reachable(node).tolist()
                 == index.reverse_reachable(node).tolist()
@@ -134,6 +136,29 @@ class TestWalkIndexPersistence:
         assert np.allclose(
             loaded.hitting_frequencies(), index.hitting_frequencies()
         )
+        assert np.array_equal(loaded.padded_paths(), index.padded_paths())
+        assert loaded.memory_bytes() == index.memory_bytes()
+
+    @pytest.mark.parametrize("damage", ["offsets", "paths", "counts", "hit"])
+    def test_inconsistent_payload_rejected(self, graph, tmp_path, damage):
+        # A well-sealed file whose arrays do not frame one walk per sample.
+        index = WalkIndex.built(graph, 3, 2, seed=1)
+        path = tmp_path / "walks.npz"
+        save_walk_index(index, path)
+        payload = load_npz_payload(path)
+        payload = {k: v for k, v in payload.items() if not k.startswith("_")}
+        if damage == "offsets":
+            payload["offsets"] = payload["offsets"][:-1]
+        elif damage == "paths":
+            payload["paths"] = payload["paths"].copy()
+            payload["paths"][-1] = graph.n_nodes
+        elif damage == "counts":
+            payload["counts"] = payload["counts"][:-1]
+        else:
+            payload["hit"] = payload["hit"][:-1]
+        save_npz_payload(path, payload)
+        with pytest.raises(ArtifactCorruptedError, match="inconsistent walk"):
+            load_walk_index(path, graph)
 
     def test_unbuilt_index_rejected(self, graph, tmp_path):
         index = WalkIndex(graph, 3, 2)

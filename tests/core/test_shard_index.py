@@ -276,6 +276,16 @@ class TestStreamingBuild:
         assert counters["propagation.shards_written"] == n_shards
         assert counters["propagation.entries_built"] == graph.n_nodes
 
+    def test_build_stats_report_wall_time_and_rate(self, graph, tmp_path):
+        # The stats read the build_sharded span, not build_all's: a sharded
+        # build used to report 0.00s and 0 entries/s.
+        index = PropagationIndex(graph, THETA, metrics=MetricsRegistry())
+        index.build_sharded(tmp_path / "timed", shard_nodes=SHARD_NODES)
+        stats = index.last_build_stats
+        assert stats.n_built == graph.n_nodes
+        assert stats.wall_seconds > 0
+        assert stats.entries_per_second > 0
+
 
 class TestCorruption:
     def test_missing_directory(self, graph, tmp_path):

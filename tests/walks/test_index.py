@@ -43,6 +43,14 @@ class TestBuildLifecycle:
         index.build()
         assert index.walks_from(0) is first
 
+    @pytest.mark.parametrize("n_nodes", [0, 3])
+    def test_graph_without_edges(self, n_nodes):
+        index = WalkIndex.built(SocialGraph(n_nodes, []), 3, 2, seed=1)
+        assert index.padded_paths().shape == (n_nodes * 2, 1)
+        for node in range(n_nodes):
+            assert [r.steps_taken for r in index.walks_from(node)] == [0, 0]
+            assert index.reverse_reachable(node).size == 0
+
     def test_parameters_validated(self, chain_graph):
         with pytest.raises(ConfigurationError):
             WalkIndex(chain_graph, 0, 2)
