@@ -7,7 +7,8 @@ runs in its own subprocess so ``ru_maxrss`` isolates that phase's peak
 resident set:
 
 * ``build-npz``     - in-memory ``build_all`` + single-NPZ save (the
-  legacy path whose RSS grows with the whole index);
+  former one-file format, kept here as a frozen baseline; its RSS grows
+  with the whole index);
 * ``build-sharded`` - streaming ``build_sharded`` (entries are freed as
   each shard is flushed, so peak RSS stays near one shard's worth);
 * ``cold-open-npz`` - full NPZ parse into in-memory entries;
@@ -61,6 +62,66 @@ def _maxrss_bytes() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
+# --------------------------------------------------------------------------
+# Frozen single-NPZ baseline. The library persists Γ only as a shard
+# directory; this bench keeps the former one-file format (one checksummed
+# NPZ of concatenated entry arrays, parsed whole into memory) as the
+# baseline the cold-open and RSS gates are measured against.
+# --------------------------------------------------------------------------
+
+
+def _save_npz_index(index, path: Path) -> None:
+    import numpy as np
+
+    from repro._artifacts import save_npz_payload
+
+    entries = [index.entry(node) for node in range(index.graph.n_nodes)]
+
+    def bounds(sizes):
+        return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+
+    save_npz_payload(path, {
+        "n_nodes": np.asarray([index.graph.n_nodes]),
+        "n_edges": np.asarray([index.graph.n_edges]),
+        "theta": np.asarray([index.theta]),
+        "max_branches": np.asarray([index.max_branches]),
+        "strict": np.asarray([int(index.strict)]),
+        "nodes": np.asarray([e.node for e in entries], dtype=np.int64),
+        "offsets": bounds([e.size for e in entries]),
+        "sources": np.concatenate([e.sources for e in entries]),
+        "probabilities": np.concatenate([e.probabilities for e in entries]),
+        "marked_offsets": bounds([e.marked_array.size for e in entries]),
+        "marked_nodes": np.concatenate([e.marked_array for e in entries]),
+        "branch_counts": np.asarray(
+            [e.branches for e in entries], dtype=np.int64
+        ),
+    })
+
+
+def _load_npz_index(path: Path, graph):
+    from repro._artifacts import load_npz_payload
+    from repro.core import PropagationEntry, PropagationIndex
+
+    payload = load_npz_payload(path, "propagation index artifact")
+    index = PropagationIndex(
+        graph, float(payload["theta"][0]),
+        max_branches=int(payload["max_branches"][0]),
+        strict=bool(payload["strict"][0]),
+    )
+    offsets, marked_offsets = payload["offsets"], payload["marked_offsets"]
+    for i, node in enumerate(payload["nodes"]):
+        lo, hi = int(offsets[i]), int(offsets[i + 1])
+        mlo, mhi = int(marked_offsets[i]), int(marked_offsets[i + 1])
+        index._entries[int(node)] = PropagationEntry.from_arrays(
+            int(node),
+            payload["sources"][lo:hi],
+            payload["probabilities"][lo:hi],
+            payload["marked_nodes"][mlo:mhi],
+            int(payload["branch_counts"][i]),
+        )
+    return index
+
+
 def _entry_digest(index, n_nodes: int) -> str:
     sha = hashlib.sha256()
     for node in range(0, n_nodes, PARITY_SAMPLE):
@@ -78,14 +139,14 @@ def _entry_digest(index, n_nodes: int) -> str:
 
 
 def _phase_build_npz(args) -> dict:
-    from repro.core import PropagationIndex, save_propagation_index
+    from repro.core import PropagationIndex
     from repro.graph.io import load_npz
 
     graph = load_npz(args.workdir / "graph.npz")
     index = PropagationIndex(graph, args.theta)
     start = perf_counter()
     index.build_all(workers=1)
-    save_propagation_index(index, args.workdir / "index.npz")
+    _save_npz_index(index, args.workdir / "index.npz")
     return {
         "seconds": perf_counter() - start,
         "maxrss_bytes": _maxrss_bytes(),
@@ -110,12 +171,11 @@ def _phase_build_sharded(args) -> dict:
 
 
 def _phase_cold_open_npz(args) -> dict:
-    from repro.core import load_propagation_index
     from repro.graph.io import load_npz
 
     graph = load_npz(args.workdir / "graph.npz")
     start = perf_counter()
-    index = load_propagation_index(args.workdir / "index.npz", graph)
+    index = _load_npz_index(args.workdir / "index.npz", graph)
     seconds = perf_counter() - start
     return {
         "seconds": seconds,

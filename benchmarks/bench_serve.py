@@ -51,7 +51,7 @@ from typing import Dict, List
 from repro.core import (
     PITEngine,
     ServingEngine,
-    save_propagation_index,
+    save_sharded_index,
     save_summaries,
 )
 from repro.datasets import (
@@ -273,9 +273,9 @@ def main(argv=None) -> int:
 
     tmp = tempfile.TemporaryDirectory(prefix="bench_serve_")
     artifact_dir = Path(tmp.name)
-    index_path = artifact_dir / "prop.npz"
+    index_dir = artifact_dir / "shards"
     sums_path = artifact_dir / "sums.json"
-    save_propagation_index(engine.propagation_index, index_path)
+    save_sharded_index(engine.propagation_index, index_dir)
     save_summaries(engine.summaries, bundle.graph, sums_path)
     print(f"artifacts built -> {artifact_dir}", flush=True)
 
@@ -298,11 +298,11 @@ def main(argv=None) -> int:
     registry_holder = {}
 
     def loader(overrides):
-        paths = {"summaries": str(sums_path), "index": str(index_path)}
+        paths = {"summaries": str(sums_path), "index_dir": str(index_dir)}
         paths.update(overrides)
         return ServingEngine.from_artifacts(
             bundle.graph, bundle.topic_index, paths["summaries"],
-            index_path=paths.get("index"),
+            index_dir=paths["index_dir"],
             metrics=registry_holder["registry"],
         )
 

@@ -331,7 +331,8 @@ class ShardWriter:
         if manifest["meta"] != self._meta:
             raise ConfigurationError(
                 f"{self._dir}: existing {what} was built with "
-                f"{manifest['meta']}, but this build uses {self._meta}"
+                f"{manifest['meta']}, but this build uses {self._meta}; "
+                f"rebuild it without resuming"
             )
         for record in manifest["shards"]:
             verify_shard_file(self._dir, record, what)

@@ -217,8 +217,8 @@ class FailOnEntry:
 class InterruptOnEntry:
     """Raise ``KeyboardInterrupt`` when the serial build reaches *node*.
 
-    Simulates SIGINT mid-build; the build flushes its checkpoint and
-    re-raises, so a later run can resume.
+    Simulates SIGINT mid-build; shards published before it stay listed
+    in the manifest, so a later run can resume.
     """
 
     def __init__(self, node: int):

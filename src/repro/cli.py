@@ -10,17 +10,15 @@ Commands
     query-serving layer, reporting QPS and cache hit rates.
 ``build-index``
     Pre-build the full §5.1 propagation index (optionally in parallel)
-    and persist it to an ``.npz`` for reuse by ``search --index``. The
-    build checkpoints periodically (``--checkpoint-every``) and can pick
-    up an interrupted run with ``--resume``; see ``docs/operations.md``.
-    With ``--shard-nodes N``, ``--output`` names a *directory* instead:
-    the build streams completed node-range shards to disk (bounded RSS,
-    shard-granularity resume) for ``search --index-dir``.
+    into the shard directory ``--output`` for ``search --index-dir``.
+    The build streams completed ranges of ``--shard-nodes`` nodes to disk
+    (bounded RSS) and picks up an interrupted run with ``--resume``; see
+    ``docs/operations.md``.
 ``build-summaries``
     Pre-build the per-topic summaries (§3 RCL-A or §4 LRW-A), optionally
     in parallel, and persist them as a checksummed JSON artifact for
-    audit or warm-start. Checkpoints and ``--resume`` work exactly like
-    ``build-index``; parallel builds are byte-identical to serial ones.
+    audit or warm-start. ``--resume`` picks up an interrupted build from
+    its checkpoint; parallel builds are byte-identical to serial ones.
 ``serve``
     Run the resilient serving daemon over prebuilt artifacts: a
     dependency-free asyncio HTTP/JSON server with admission control,
@@ -51,12 +49,8 @@ Examples
 ::
 
     pit-search datasets --size 800
-    pit-search build-index --dataset data_2k --workers 4 --output prop.npz \
-        --checkpoint-every 500 --resume
-    pit-search build-index --dataset data_2k --shard-nodes 4096 \
+    pit-search build-index --dataset data_2k --workers 4 \
         --output prop_shards/ --resume
-    pit-search search --dataset data_2k --user 3 --query phone --k 5 \
-        --index prop.npz
     pit-search search --dataset data_2k --user 3 --query phone --k 5 \
         --index-dir prop_shards/ --shard-cache-mb 64
     pit-search search --dataset data_2k --batch workload.jsonl --k 5
@@ -72,6 +66,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from .core.shards import DEFAULT_SHARD_NODES
 from .evaluation import ExperimentConfig, ExperimentSuite
 from .exceptions import DatasetError, ReproError
 
@@ -127,13 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--k", type=int, default=10)
     search.add_argument("--summarizer", default="lrw", choices=["lrw", "rcl"])
     search.add_argument("--theta", type=float, default=0.002)
-    search.add_argument("--index", default=None, metavar="PATH",
-                        help="reuse a propagation index built by build-index "
-                             "(its theta overrides --theta)")
     search.add_argument("--index-dir", default=None, metavar="DIR",
                         help="serve from a sharded index directory built by "
-                             "build-index --shard-nodes (zero-copy mmap; its "
-                             "theta overrides --theta)")
+                             "build-index (zero-copy mmap; its theta "
+                             "overrides --theta)")
     search.add_argument("--shard-cache-mb", type=int, default=256,
                         metavar="MB",
                         help="paging budget for resident shard segments "
@@ -155,25 +147,17 @@ def build_parser() -> argparse.ArgumentParser:
     build_index.add_argument("--max-branches", type=int, default=200_000)
     build_index.add_argument("--workers", type=int, default=1,
                              help="worker processes (0 = all CPUs)")
-    build_index.add_argument("--output", required=True, metavar="PATH",
-                             help="destination .npz file (or directory "
-                                  "with --shard-nodes)")
-    build_index.add_argument("--shard-nodes", type=int, default=None,
-                             metavar="N",
-                             help="stream the index to --output as shards "
-                                  "of N contiguous nodes instead of one "
-                                  "NPZ: bounded RSS, per-shard checksums, "
-                                  "shard-granularity --resume")
-    build_index.add_argument("--checkpoint", default=None, metavar="PATH",
-                             help="checkpoint file (default: <output stem>"
-                                  ".ckpt.npz next to --output)")
-    build_index.add_argument("--checkpoint-every", type=int, default=1000,
-                             metavar="N",
-                             help="flush completed entries to the checkpoint "
-                                  "every N entries (0 = only on exit)")
+    build_index.add_argument("--output", required=True, metavar="DIR",
+                             help="destination shard directory")
+    build_index.add_argument("--shard-nodes", type=int,
+                             default=DEFAULT_SHARD_NODES, metavar="N",
+                             help="contiguous nodes per shard: bounded RSS, "
+                                  "per-shard checksums, shard-granularity "
+                                  f"--resume (default {DEFAULT_SHARD_NODES})")
     build_index.add_argument("--resume", action="store_true",
-                             help="resume from an existing checkpoint "
-                                  "instead of rebuilding from scratch")
+                             help="keep the verified shards of an "
+                                  "interrupted build instead of rebuilding "
+                                  "from scratch")
     build_index.add_argument("--max-retries", type=int, default=2,
                              metavar="N",
                              help="fresh-process retries for crashed workers")
@@ -258,11 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=42)
     serve.add_argument("--summaries", required=True, metavar="PATH",
                        help="prebuilt summaries artifact (build-summaries)")
-    serve.add_argument("--index", default=None, metavar="PATH",
-                       help="prebuilt propagation index .npz (build-index)")
     serve.add_argument("--index-dir", default=None, metavar="DIR",
                        help="sharded propagation index directory "
-                            "(build-index --shard-nodes)")
+                            "(build-index)")
     serve.add_argument("--shard-cache-mb", type=int, default=256, metavar="MB",
                        help="paging budget for resident shard segments "
                             "with --index-dir (default 256)")
@@ -272,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--k", type=int, default=10,
                        help="default k for requests that send none")
     serve.add_argument("--theta", type=float, default=0.002,
-                       help="theta for lazy propagation when no --index[-dir] "
+                       help="theta for lazy propagation when no --index-dir "
                             "is given (a prebuilt index's theta governs)")
     serve.add_argument("--max-queue", type=int, default=64, metavar="N",
                        help="admission capacity; excess requests are shed "
@@ -315,15 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     precompute.add_argument("--summaries", required=True, metavar="PATH",
                             help="prebuilt summaries artifact the daemon "
                                  "will serve")
-    precompute.add_argument("--index", default=None, metavar="PATH",
-                            help="prebuilt propagation index .npz")
     precompute.add_argument("--index-dir", default=None, metavar="DIR",
                             help="sharded propagation index directory")
     precompute.add_argument("--shard-cache-mb", type=int, default=256,
                             metavar="MB")
     precompute.add_argument("--theta", type=float, default=0.002,
                             help="theta for lazy propagation when no "
-                                 "--index[-dir] is given")
+                                 "--index-dir is given")
     precompute.add_argument("--trace", required=True, metavar="PATH",
                             help="JSONL workload trace "
                                  "({'user','query','k'} records, the "
@@ -548,16 +528,12 @@ def _emit_metrics(snapshot, path: str) -> None:
 
 
 def _run_search(args) -> int:
-    from .core import PITEngine, load_propagation_index, load_sharded_index
+    from .core import PITEngine, load_sharded_index
     from .exceptions import ConfigurationError
 
     if args.batch is None and (args.user is None or args.query is None):
         raise ConfigurationError(
             "search needs --user and --query (or --batch for a workload)"
-        )
-    if args.index is not None and args.index_dir is not None:
-        raise ConfigurationError(
-            "--index and --index-dir are mutually exclusive"
         )
     bundle = _load_bundle(args)
     print(bundle.describe())
@@ -581,12 +557,7 @@ def _run_search(args) -> int:
         summary_cache_bytes=8 << 20 if args.batch else None,
         metrics=metrics,
     )
-    if args.index is not None:
-        prebuilt = load_propagation_index(args.index, bundle.graph)
-        engine.use_propagation_index(prebuilt)
-        print(f"using prebuilt propagation index {args.index} "
-              f"({prebuilt.n_cached} entries, theta={prebuilt.theta})")
-    elif args.index_dir is not None:
+    if args.index_dir is not None:
         prebuilt = load_sharded_index(
             args.index_dir, bundle.graph,
             cache_bytes=args.shard_cache_mb << 20,
@@ -619,22 +590,23 @@ def _run_search(args) -> int:
     return 0
 
 
-def _default_checkpoint(output: str, suffix: str = ".npz") -> Path:
+def _default_checkpoint(output: str) -> Path:
     path = Path(output)
-    stem = path.name[: -len(suffix)] if path.name.endswith(suffix) else path.name
-    return path.with_name(stem + ".ckpt" + suffix)
+    stem = path.name[:-len(".json")] if path.name.endswith(".json") else path.name
+    return path.with_name(stem + ".ckpt.json")
 
 
 def _run_build_index(args) -> int:
-    from .core import PropagationIndex, save_propagation_index
+    """Stream the index to the shard directory ``--output``.
+
+    The manifest is the checkpoint (rewritten after every shard), so an
+    interrupted build resumes from it and nothing needs deleting on
+    success.
+    """
+    from .core import PropagationIndex
 
     bundle = _load_bundle(args)
     print(bundle.describe())
-    workers = None if args.workers == 0 else args.workers
-    checkpoint = (
-        Path(args.checkpoint) if args.checkpoint
-        else _default_checkpoint(args.output)
-    )
     metrics = None
     if args.metrics_out is not None:
         from .obs import MetricsRegistry
@@ -644,47 +616,10 @@ def _run_build_index(args) -> int:
         bundle.graph, args.theta, max_branches=args.max_branches,
         metrics=metrics,
     )
-    if args.shard_nodes is not None:
-        return _finish_build_sharded(args, index, workers, metrics)
-    index.build_all(
-        workers=workers,
-        checkpoint=checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-        max_retries=args.max_retries,
-        strict=not args.keep_going,
-    )
-    save_propagation_index(index, args.output)
-    stats = index.last_build_stats
-    if stats.n_resumed:
-        print(f"resumed {stats.n_resumed} entries from {checkpoint}")
-    print(f"built {stats.n_built} entries in {stats.wall_seconds:.2f}s "
-          f"({stats.entries_per_second:.0f} entries/s, "
-          f"{stats.workers} worker(s), "
-          f"{stats.total_bytes / 1024:.1f} KiB) -> {args.output}")
-    if stats.failed_nodes:
-        print(f"warning: {stats.n_failed} entries failed to build and were "
-              f"skipped: {list(stats.failed_nodes)[:10]}", file=sys.stderr)
-    if metrics is not None:
-        metrics.set_gauge("propagation.entries_cached", index.n_cached)
-        metrics.set_gauge("propagation.index_bytes", index.memory_bytes())
-        _emit_metrics(metrics.snapshot(), args.metrics_out)
-    # The finished artifact is saved; the checkpoint is now redundant.
-    checkpoint.unlink(missing_ok=True)
-    return 0
-
-
-def _finish_build_sharded(args, index, workers, metrics) -> int:
-    """The ``build-index --shard-nodes`` tail: stream shards to a directory.
-
-    The manifest doubles as the checkpoint (rewritten after every shard),
-    so the NPZ checkpoint flags do not apply and nothing needs deleting
-    on success.
-    """
     index.build_sharded(
         args.output,
         shard_nodes=args.shard_nodes,
-        workers=workers,
+        workers=None if args.workers == 0 else args.workers,
         resume=args.resume,
         max_retries=args.max_retries,
         strict=not args.keep_going,
@@ -703,8 +638,10 @@ def _finish_build_sharded(args, index, workers, metrics) -> int:
               f"stored empty: {list(stats.failed_nodes)[:10]}",
               file=sys.stderr)
     if metrics is not None:
-        metrics.set_gauge("propagation.entries_cached", index.n_cached)
-        metrics.set_gauge("propagation.index_bytes", index.memory_bytes())
+        # The built entries left memory shard by shard; report what the
+        # directory holds.
+        metrics.set_gauge("propagation.entries_cached", stats.n_entries)
+        metrics.set_gauge("propagation.index_bytes", stats.total_bytes)
         _emit_metrics(metrics.snapshot(), args.metrics_out)
     return 0
 
@@ -717,7 +654,7 @@ def _run_build_summaries(args) -> int:
     workers = None if args.workers == 0 else args.workers
     checkpoint = (
         Path(args.checkpoint) if args.checkpoint
-        else _default_checkpoint(args.output, ".json")
+        else _default_checkpoint(args.output)
     )
     metrics = None
     if args.metrics_out is not None:
@@ -840,39 +777,24 @@ def _run_serve(args) -> int:
     import asyncio
 
     from .core import ServingEngine
-    from .exceptions import ConfigurationError
     from .obs import MetricsRegistry
     from .serve import PITServer, ServeConfig
 
-    if args.index is not None and args.index_dir is not None:
-        raise ConfigurationError(
-            "--index and --index-dir are mutually exclusive"
-        )
     bundle = _load_bundle(args)
     print(bundle.describe(), flush=True)
     registry = MetricsRegistry()
     base = {"summaries": args.summaries}
-    if args.index is not None:
-        base["index"] = args.index
     if args.index_dir is not None:
         base["index_dir"] = args.index_dir
     if args.precompute is not None:
         base["precompute"] = args.precompute
 
     def loader(overrides):
-        paths = dict(base)
-        paths.update(overrides)
-        # An override that switches index format replaces, not joins,
-        # the configured one.
-        if "index" in overrides:
-            paths.pop("index_dir", None)
-        if "index_dir" in overrides:
-            paths.pop("index", None)
+        paths = {**base, **overrides}
         return ServingEngine.from_artifacts(
             bundle.graph,
             bundle.topic_index,
             paths["summaries"],
-            index_path=paths.get("index"),
             index_dir=paths.get("index_dir"),
             shard_cache_bytes=args.shard_cache_mb << 20,
             theta=args.theta,
@@ -920,12 +842,7 @@ def _run_precompute(args) -> int:
 
     from .core import ServingEngine
     from .core.precompute import build_precompute, save_precompute
-    from .exceptions import ConfigurationError
 
-    if args.index is not None and args.index_dir is not None:
-        raise ConfigurationError(
-            "--index and --index-dir are mutually exclusive"
-        )
     bundle = _load_bundle(args)
     print(bundle.describe())
     metrics = None
@@ -937,7 +854,6 @@ def _run_precompute(args) -> int:
         bundle.graph,
         bundle.topic_index,
         args.summaries,
-        index_path=args.index,
         index_dir=args.index_dir,
         shard_cache_bytes=args.shard_cache_mb << 20,
         theta=args.theta,

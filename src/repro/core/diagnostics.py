@@ -116,7 +116,9 @@ class PropagationBuildStats:
         the build degrades gracefully instead of raising
         :class:`~repro.exceptions.BuildFailedError`).
     n_resumed:
-        Entries absorbed from a checkpoint before building started.
+        Entries of shards a resumed
+        :meth:`~repro.core.propagation.PropagationIndex.build_sharded`
+        verified and kept instead of rebuilding.
     """
 
     n_entries: int

@@ -39,14 +39,14 @@ and no probability mass is silently dropped mid-branch.
 independent and deterministic (DFS order is fixed by the CSR layout), so
 parallel results are byte-identical to serial ones.
 
-The build is fault tolerant. With a ``checkpoint`` path, completed
-entries are periodically flushed (atomically, checksummed) so a crash,
-SIGINT, or OOM-killed worker costs at most ``checkpoint_every`` entries
-of work: the next ``build_all`` call resumes from the checkpoint and -
-because every entry is deterministic - produces output byte-identical to
-an uninterrupted build. Failed chunks are retried with bounded
-exponential backoff on a fresh process pool; nodes that still fail after
-``max_retries`` either surface in
+The build is fault tolerant. :meth:`PropagationIndex.build_sharded`
+streams completed node ranges to a shard directory whose manifest is
+rewritten after every shard, so a crash, SIGINT, or OOM-killed worker
+costs at most one shard range of work: the next call resumes from the
+manifest and - because every entry is deterministic - produces a
+directory byte-identical to an uninterrupted build's. Failed chunks are
+retried with bounded exponential backoff on a fresh process pool; nodes
+that still fail after ``max_retries`` either surface in
 :attr:`~repro.core.diagnostics.PropagationBuildStats.failed_nodes`
 (graceful degradation) or raise
 :class:`~repro.exceptions.BuildFailedError` carrying the partial result,
@@ -408,60 +408,12 @@ def _worker_build_chunk(
     return results, n_truncated
 
 
-class _CheckpointWriter:
-    """Periodic atomic flushes of an index's cached entries.
-
-    The checkpoint file is an ordinary propagation-index artifact
-    (checksummed, atomically replaced), so a partial checkpoint is always
-    loadable and the final checkpoint of a completed build doubles as the
-    finished artifact.
-    """
-
-    def __init__(
-        self,
-        index: "PropagationIndex",
-        path: Optional[PathLike],
-        every: int,
-        registry: Optional[MetricsRegistry] = None,
-    ):
-        self._index = index
-        self._path = None if path is None else Path(path)
-        self._every = int(every)
-        self._pending = 0
-        self._registry = registry
-
-    @property
-    def enabled(self) -> bool:
-        return self._path is not None
-
-    def note_built(self, count: int = 1) -> None:
-        """Record *count* newly built entries, flushing on the cadence."""
-        if self._path is None:
-            return
-        self._pending += count
-        if self._every > 0 and self._pending >= self._every:
-            self.flush()
-
-    def flush(self) -> None:
-        """Persist the index's cached entries if any are unflushed."""
-        if self._path is None or self._pending == 0:
-            return
-        from .persistence import save_propagation_index
-
-        registry = self._registry
-        with trace("propagation.checkpoint_flush", registry=registry):
-            save_propagation_index(self._index, self._path)
-        if registry is not None:
-            registry.inc("propagation.checkpoint_flushes")
-        self._pending = 0
-
-
 class InMemoryBackend:
     """Dict-backed entry storage - the default, fully resident backend.
 
     The counterpart of :class:`~repro.core.shards.MmapShardBackend` on
-    the index's backend seam: entries built (or loaded from NPZ) are held
-    as ordinary heap arrays keyed by node. The index aliases
+    the index's backend seam: entries built in this process are held as
+    ordinary heap arrays keyed by node. The index aliases
     :attr:`entries` directly, so the backend adds no indirection to the
     hot lookup path.
     """
@@ -706,38 +658,10 @@ class PropagationIndex:
         """
         return self._build_entry(self._graph._check_node(node))
 
-    def load_checkpoint(self, path: PathLike) -> int:
-        """Absorb entries from a checkpoint written by an earlier build.
-
-        The checkpoint's graph signature, ``theta``, and ``max_branches``
-        must match this index (a checkpoint built under different
-        parameters would silently change Γ); mismatches raise
-        :class:`~repro.exceptions.ConfigurationError`. Returns the number
-        of entries absorbed (already-cached nodes are kept as-is).
-        """
-        from .persistence import load_propagation_index
-
-        loaded = load_propagation_index(path, self._graph)
-        if loaded.theta != self._theta or loaded.max_branches != self._max_branches:
-            raise ConfigurationError(
-                f"{path}: checkpoint was built with theta={loaded.theta}, "
-                f"max_branches={loaded.max_branches}; this index uses "
-                f"theta={self._theta}, max_branches={self._max_branches}"
-            )
-        absorbed = 0
-        for node, entry in loaded._entries.items():
-            if node not in self._entries:
-                self._entries[node] = entry
-                absorbed += 1
-        return absorbed
-
     def build_all(
         self,
         workers: Optional[int] = 1,
         *,
-        checkpoint: Optional[PathLike] = None,
-        checkpoint_every: int = 1000,
-        resume: bool = True,
         max_retries: int = 2,
         retry_backoff: float = 0.5,
         strict: Optional[bool] = None,
@@ -752,18 +676,6 @@ class PropagationIndex:
             Parallel results are byte-identical to serial ones - each
             entry's DFS order is fixed by the CSR layout regardless of
             which process runs it.
-        checkpoint:
-            Path of a checkpoint artifact. When set, completed entries are
-            flushed there every ``checkpoint_every`` entries (atomically,
-            checksummed), on interruption, and when the build finishes -
-            so a crashed build loses at most one flush interval of work.
-        checkpoint_every:
-            Entries between periodic checkpoint flushes; ``0`` flushes
-            only at interruption/completion.
-        resume:
-            Load an existing checkpoint before building (default). The
-            checkpoint must match this index's graph, ``theta``, and
-            ``max_branches``.
         max_retries:
             Fresh-process retry rounds for chunks whose worker crashed or
             raised an unexpected error. Deterministic library errors
@@ -776,9 +688,8 @@ class PropagationIndex:
         strict:
             What to do with nodes that still fail after ``max_retries``:
             ``True`` raises :class:`~repro.exceptions.BuildFailedError`
-            (with the partial index attached and the checkpoint flushed);
-            ``False`` records them in ``failed_nodes`` on the build stats
-            and continues. ``None`` (default) follows the index's own
+            (with the partial index attached); ``False`` records them in
+            ``failed_nodes`` on the build stats and continues. ``None`` (default) follows the index's own
             ``strict`` flag.
 
         Records a :class:`~repro.core.diagnostics.PropagationBuildStats`
@@ -792,7 +703,6 @@ class PropagationIndex:
         """
         from .diagnostics import PropagationBuildStats
 
-        require_in_range("checkpoint_every", checkpoint_every, 0)
         require_in_range("max_retries", max_retries, 0)
         require_non_negative("retry_backoff", retry_backoff)
         if workers is None:
@@ -808,12 +718,6 @@ class PropagationIndex:
         before = registry.snapshot()
         failed: List[int] = []
         with trace("propagation.build_all", registry=registry, workers=workers):
-            n_resumed = 0
-            if checkpoint is not None and resume and Path(checkpoint).exists():
-                with trace("propagation.resume", registry=registry):
-                    n_resumed = self.load_checkpoint(checkpoint)
-            if n_resumed:
-                registry.inc("propagation.entries_resumed", n_resumed)
             if self._shards is not None:
                 missing = []  # every node is served from the mapped shards
             else:
@@ -821,29 +725,18 @@ class PropagationIndex:
                     node for node in range(self._graph.n_nodes)
                     if node not in self._entries
                 ]
-            writer = _CheckpointWriter(
-                self, checkpoint, checkpoint_every, registry
-            )
-            try:
-                if workers <= 1 or len(missing) <= 1:
-                    workers = 1
-                    with trace("propagation.build_serial", registry=registry):
-                        failed = self._build_serial(
-                            missing, max_retries, retry_backoff, writer,
-                            registry,
-                        )
-                else:
-                    workers = min(workers, len(missing))
-                    with trace("propagation.build_parallel", registry=registry):
-                        failed = self._build_parallel(
-                            missing, workers, max_retries, retry_backoff,
-                            writer, registry,
-                        )
-            finally:
-                # One flush covers every exit: completion, a strict-budget
-                # raise, and KeyboardInterrupt/SystemExit mid-build. Entries
-                # built before the exit are on disk for the next resume.
-                writer.flush()
+            if workers <= 1 or len(missing) <= 1:
+                workers = 1
+                with trace("propagation.build_serial", registry=registry):
+                    failed = self._build_serial(
+                        missing, max_retries, retry_backoff, registry
+                    )
+            else:
+                workers = min(workers, len(missing))
+                with trace("propagation.build_parallel", registry=registry):
+                    failed = self._build_parallel(
+                        missing, workers, max_retries, retry_backoff, registry
+                    )
         if failed:
             registry.inc("propagation.entries_failed", len(failed))
         delta = registry.snapshot().delta(before)
@@ -853,7 +746,6 @@ class PropagationIndex:
             workers=workers,
             total_bytes=self.memory_bytes(),
             failed_nodes=tuple(sorted(set(failed))),
-            n_resumed=n_resumed,
         )
         if failed:
             if strict_build:
@@ -891,8 +783,8 @@ class PropagationIndex:
         Serve the result with
         :func:`~repro.core.shards.load_sharded_index`.
 
-        Determinism, checkpointing, and retries carry over from
-        :meth:`build_all`:
+        Determinism and retries carry over from :meth:`build_all`, and
+        the manifest is the build's checkpoint:
 
         * entries are deterministic, so shard files are byte-identical
           across runs - an interrupted build resumed with ``resume=True``
@@ -931,7 +823,6 @@ class PropagationIndex:
         n_nodes = self._graph.n_nodes
         shard_nodes = int(shard_nodes)
         writer = PropagationShardWriter(directory, self, shard_nodes)
-        null_checkpoint = _CheckpointWriter(self, None, 0)
         failed_all: List[int] = []
         n_resumed = 0
         bytes_written = 0
@@ -953,13 +844,12 @@ class PropagationIndex:
                 ]
                 if workers <= 1 or len(missing) <= 1:
                     failed = self._build_serial(
-                        missing, max_retries, retry_backoff,
-                        null_checkpoint, registry,
+                        missing, max_retries, retry_backoff, registry
                     )
                 else:
                     failed = self._build_parallel(
                         missing, min(workers, len(missing)), max_retries,
-                        retry_backoff, null_checkpoint, registry,
+                        retry_backoff, registry,
                     )
                 if failed and strict_build:
                     registry.inc("propagation.entries_failed", len(failed))
@@ -1010,7 +900,6 @@ class PropagationIndex:
         missing: List[int],
         max_retries: int,
         retry_backoff: float,
-        writer: _CheckpointWriter,
         registry: MetricsRegistry,
     ) -> List[int]:
         """In-process build with per-node retries; returns failed nodes."""
@@ -1035,7 +924,6 @@ class PropagationIndex:
                 else:
                     self._entries[node] = entry
                     self._account_entry(registry, entry)
-                    writer.note_built()
                     break
         return failed
 
@@ -1058,7 +946,6 @@ class PropagationIndex:
         workers: int,
         max_retries: int,
         retry_backoff: float,
-        writer: _CheckpointWriter,
         registry: MetricsRegistry,
     ) -> List[int]:
         """Sharded build with fresh-pool chunk retries; returns failures.
@@ -1114,7 +1001,6 @@ class PropagationIndex:
                             )
                             self._entries[node] = entry
                             self._account_entry(registry, entry)
-                        writer.note_built(len(results))
             if not still_failing:
                 pending = []
                 break

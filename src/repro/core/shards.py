@@ -1,10 +1,10 @@
 """Memory-mapped, sharded propagation-index storage (scale extension).
 
 The paper's offline propagation index (``Γ(v)`` per node, §5.1) is the
-system's largest artifact. The single-NPZ persistence in
-:mod:`repro.core.persistence` round-trips the *whole* index through RAM,
-which caps graph size at memory and makes cold start O(index size). This
-module stores the same entries as a **sharded flat binary artifact**:
+system's largest artifact, and this module is its only on-disk format.
+Round-tripping the *whole* index through RAM would cap graph size at
+memory and make cold start O(index size), so the entries are stored as a
+**sharded flat binary artifact**:
 
 * entries are grouped by contiguous node range (``shard_nodes`` per
   shard) into independent segment files;
@@ -15,9 +15,10 @@ module stores the same entries as a **sharded flat binary artifact**:
   already mmap-friendly);
 * a checksummed JSON manifest (:mod:`repro._artifacts` shard machinery)
   records every segment's byte count and SHA-256 plus the build
-  parameters, so corruption surfaces as
-  :class:`~repro.exceptions.ArtifactCorruptedError` and an artifact can
-  never silently be replayed against the wrong graph or ``θ``.
+  parameters and a SHA-256 of the graph's edge arrays, so corruption
+  surfaces as :class:`~repro.exceptions.ArtifactCorruptedError` and an
+  artifact can never silently be replayed against the wrong graph (even
+  one with the same node and edge counts) or ``θ``.
 
 Reading is **zero-copy**: a segment is ``np.memmap``-ed once and every
 entry is a typed view into the mapping - opening a million-node index
@@ -46,6 +47,7 @@ a legitimate entry (a node no qualifying path reaches).
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple, Union
@@ -73,6 +75,7 @@ __all__ = [
     "DEFAULT_SHARD_NODES",
     "DEFAULT_SHARD_CACHE_BYTES",
     "shard_filename",
+    "graph_digest",
     "pack_shard",
     "MmapShardBackend",
     "PropagationShardWriter",
@@ -104,6 +107,18 @@ _HEADER_BYTES = 64
 def shard_filename(lo: int, hi: int) -> str:
     """Canonical segment file name for node range ``[lo, hi)``."""
     return f"shard-{lo:010d}-{hi:010d}.bin"
+
+
+def graph_digest(graph: SocialGraph) -> str:
+    """SHA-256 of *graph*'s ``edge_arrays()``, recorded in the manifest.
+
+    Node and edge counts cannot tell a reweighted graph from the one the
+    shards were built for; this digest can.
+    """
+    digest = hashlib.sha256()
+    for array in graph.edge_arrays():
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +390,17 @@ class MmapShardBackend:
                 f"but the supplied graph has {graph.n_nodes} nodes/"
                 f"{graph.n_edges} edges"
             )
+        if "graph_sha256" not in meta:
+            raise ConfigurationError(
+                f"{self._dir}: sharded index records no graph digest (built "
+                f"by an older version); rebuild it with build-index"
+            )
+        if meta["graph_sha256"] != graph_digest(graph):
+            raise ConfigurationError(
+                f"{self._dir}: sharded index was built for a different graph "
+                f"with the same node/edge counts (a graph delta rewrites "
+                f"the directory it serves); rebuild it with build-index"
+            )
         records = sorted(manifest["shards"], key=lambda r: int(r["lo"]))
         expected_lo = 0
         for record in records:
@@ -526,6 +552,7 @@ class PropagationShardWriter:
         self._writer = ShardWriter(directory, SHARD_KIND, {
             "n_nodes": index.graph.n_nodes,
             "n_edges": index.graph.n_edges,
+            "graph_sha256": graph_digest(index.graph),
             "theta": index.theta,
             "max_branches": index.max_branches,
             "strict": bool(index.strict),
@@ -541,7 +568,8 @@ class PropagationShardWriter:
         """Verified ``(lo, hi) -> record`` map of already-written shards.
 
         Raises :class:`~repro.exceptions.ConfigurationError` when the
-        directory holds shards built under different parameters, and
+        directory holds shards built under different parameters or for a
+        different graph (digest), and
         :class:`~repro.exceptions.ArtifactCorruptedError` when a listed
         shard fails size/digest verification.
         """
@@ -571,7 +599,7 @@ class PropagationShardWriter:
         """Carry a clean shard's record into this writer's manifest.
 
         The delta-refresh path: a graph edit changes the manifest meta
-        (``n_edges``), so :meth:`resume` refuses the old manifest - but
+        (the graph digest), so :meth:`resume` refuses the old manifest - but
         shards untouched by the delta keep byte-identical files. Adopting
         re-verifies the file against the record (size + SHA-256) and
         lists it in the new manifest without rewriting it.
@@ -593,11 +621,10 @@ def save_sharded_index(
 ) -> Path:
     """Write a fully materialized in-memory index as a sharded artifact.
 
-    The migration path from the legacy single-NPZ format: load the NPZ
-    with :func:`~repro.core.persistence.load_propagation_index`, then
-    save it sharded. Requires every node's entry to be cached - a shard
-    slot cannot distinguish "never built" from "empty Γ", so persisting a
-    partial index would silently change query results.
+    Persists an index built in memory (:meth:`PropagationIndex.build_all`).
+    Requires every node's entry to be cached - a shard slot cannot
+    distinguish "never built" from "empty Γ", so persisting a partial
+    index would silently change query results.
     """
     n_nodes = index.graph.n_nodes
     missing = n_nodes - sum(
@@ -665,8 +692,11 @@ def refresh_sharded_index(
     mapped segment - and atomically replaced in the same directory;
     clean shards are carried into the new manifest byte-untouched (the
     manifest must be rewritten regardless, because its ``meta`` records
-    the edge count). Affected nodes drop off the ``failed_nodes`` list:
-    their slots are rebuilt for real.
+    the graph's digest). Affected nodes drop off the ``failed_nodes``
+    list: their slots are rebuilt for real. The rewritten directory
+    belongs to *graph* from then on: opening it against the pre-delta
+    graph raises :class:`~repro.exceptions.ConfigurationError`, and a
+    rebuild is what reverts it.
 
     Returns a fresh shard-served :class:`PropagationIndex` (same shape
     as :func:`load_sharded_index`) with

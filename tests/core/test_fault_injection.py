@@ -1,14 +1,15 @@
 """Fault-injection tests for the offline pipeline.
 
-Proves the robustness contract end-to-end: a build killed mid-way and
-resumed from its checkpoint produces an ``.npz`` byte-identical to an
-uninterrupted build; crashed workers are retried on fresh processes;
-persistent failures degrade gracefully or raise
+Proves the robustness contract end-to-end: a sharded build killed
+mid-way and resumed from its manifest produces a shard directory
+byte-identical to an uninterrupted build; crashed workers are retried on
+fresh processes; persistent failures degrade gracefully or raise
 :class:`~repro.exceptions.BuildFailedError` per the ``strict`` flag; and
-corrupted artifacts (single flipped byte, truncation) are rejected at
-load time with :class:`~repro.exceptions.ArtifactCorruptedError`.
+corrupted shards (single flipped byte, truncation) are rejected at load
+time with :class:`~repro.exceptions.ArtifactCorruptedError`.
 """
 
+import hashlib
 import warnings
 
 import pytest
@@ -16,8 +17,8 @@ import pytest
 from repro import _faults
 from repro.core import (
     PropagationIndex,
-    load_propagation_index,
-    save_propagation_index,
+    load_sharded_index,
+    save_sharded_index,
 )
 from repro.exceptions import (
     ArtifactCorruptedError,
@@ -27,6 +28,7 @@ from repro.exceptions import (
 from repro.graph import preferential_attachment_graph
 
 THETA = 0.01
+SHARD_NODES = 16
 
 
 @pytest.fixture(autouse=True)
@@ -41,13 +43,37 @@ def graph():
     return preferential_attachment_graph(70, 3, seed=5)
 
 
+def _dir_digest(directory):
+    sha = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        sha.update(path.name.encode())
+        sha.update(path.read_bytes())
+    return sha.hexdigest()
+
+
+def _build(graph, directory, **kwargs):
+    return PropagationIndex(
+        graph, THETA, metrics=kwargs.pop("metrics", None)
+    ).build_sharded(directory, shard_nodes=SHARD_NODES, **kwargs)
+
+
 @pytest.fixture(scope="module")
-def reference_bytes(graph, tmp_path_factory):
-    """The ``.npz`` of an uninterrupted serial build."""
-    path = tmp_path_factory.mktemp("reference") / "prop.npz"
-    index = PropagationIndex(graph, THETA).build_all(workers=1)
-    save_propagation_index(index, path)
-    return path.read_bytes()
+def reference_digest(graph, tmp_path_factory):
+    """The shard directory digest of an uninterrupted serial build."""
+    directory = tmp_path_factory.mktemp("reference") / "prop"
+    _build(graph, directory, workers=1)
+    return _dir_digest(directory)
+
+
+class _FailFromNode:
+    """Fail every worker chunk holding a node >= *node* (picklable)."""
+
+    def __init__(self, node):
+        self.node = node
+
+    def __call__(self, *, nodes, **_):
+        if max(nodes) >= self.node:
+            raise RuntimeError(f"injected fault: chunk reaches {self.node}")
 
 
 class TestInjectionRegistry:
@@ -69,89 +95,57 @@ class TestInjectionRegistry:
 
 class TestResumeAfterCrash:
     def test_interrupted_build_resumes_byte_identical(
-        self, graph, reference_bytes, tmp_path
+        self, graph, reference_digest, tmp_path
     ):
         """The acceptance-criteria scenario, serial flavour."""
-        checkpoint = tmp_path / "prop.ckpt.npz"
-        # Kill the build at node 40; the finally-flush persists nodes 0-39.
+        directory = tmp_path / "prop"
+        # Kill the build at node 40; shards [0, 16) and [16, 32) are
+        # published, the third shard's built entries are lost.
         with _faults.fault(
             "propagation.build_entry", _faults.InterruptOnEntry(40)
         ):
             with pytest.raises(KeyboardInterrupt):
-                PropagationIndex(graph, THETA).build_all(
-                    workers=1, checkpoint=checkpoint, checkpoint_every=10
-                )
-        assert checkpoint.exists()
-        partial = load_propagation_index(checkpoint, graph)
-        assert 0 < partial.n_cached < graph.n_nodes
+                _build(graph, directory, workers=1)
+        with pytest.raises(ArtifactCorruptedError, match="incomplete"):
+            load_sharded_index(directory, graph)
 
-        resumed = PropagationIndex(graph, THETA).build_all(
-            workers=1, checkpoint=checkpoint, checkpoint_every=10
-        )
-        assert resumed.last_build_stats.n_resumed == partial.n_cached
+        resumed = _build(graph, directory, workers=1)
+        assert resumed.last_build_stats.n_resumed == 2 * SHARD_NODES
         assert resumed.last_build_stats.n_built == (
-            graph.n_nodes - partial.n_cached
+            graph.n_nodes - 2 * SHARD_NODES
         )
-        output = tmp_path / "prop.npz"
-        save_propagation_index(resumed, output)
-        assert output.read_bytes() == reference_bytes
+        assert _dir_digest(directory) == reference_digest
 
     def test_parallel_failures_then_resume_byte_identical(
-        self, graph, reference_bytes, tmp_path
+        self, graph, reference_digest, tmp_path
     ):
-        """Chunks that keep failing are skipped, checkpointed, resumed."""
-        checkpoint = tmp_path / "prop.ckpt.npz"
+        """A parallel build that keeps failing in its third shard raises
+        with two shards on disk; the resumed parallel build finishes."""
+        directory = tmp_path / "prop"
         with _faults.fault(
-            "propagation.worker_chunk", _faults.FailOnChunk(1, attempts=(0, 1))
+            "propagation.worker_chunk", _FailFromNode(2 * SHARD_NODES)
         ):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                degraded = PropagationIndex(graph, THETA).build_all(
-                    workers=2,
-                    checkpoint=checkpoint,
-                    checkpoint_every=5,
-                    max_retries=1,
-                    retry_backoff=0.0,
-                    strict=False,
+            with pytest.raises(BuildFailedError):
+                _build(
+                    graph, directory,
+                    workers=2, max_retries=1, retry_backoff=0.0, strict=True,
                 )
-        failed = degraded.last_build_stats.failed_nodes
-        assert failed  # chunk 1 never built
-        resumed = PropagationIndex(graph, THETA).build_all(
-            workers=1, checkpoint=checkpoint, checkpoint_every=5
-        )
+        resumed = _build(graph, directory, workers=2)
+        assert resumed.last_build_stats.n_resumed == 2 * SHARD_NODES
         assert resumed.last_build_stats.failed_nodes == ()
-        output = tmp_path / "prop.npz"
-        save_propagation_index(resumed, output)
-        assert output.read_bytes() == reference_bytes
-
-    def test_final_checkpoint_matches_output(self, graph, tmp_path):
-        checkpoint = tmp_path / "prop.ckpt.npz"
-        index = PropagationIndex(graph, THETA).build_all(
-            workers=1, checkpoint=checkpoint, checkpoint_every=1000
-        )
-        output = tmp_path / "prop.npz"
-        save_propagation_index(index, output)
-        # checkpoint_every never triggered mid-build; the exit flush wrote
-        # the complete artifact.
-        assert checkpoint.read_bytes() == output.read_bytes()
+        assert _dir_digest(directory) == reference_digest
 
     def test_mismatched_checkpoint_rejected(self, graph, tmp_path):
-        checkpoint = tmp_path / "prop.ckpt.npz"
-        index = PropagationIndex(graph, THETA)
-        index.entry(0)
-        save_propagation_index(index, checkpoint)
+        directory = tmp_path / "prop"
+        _build(graph, directory, workers=1)
         other = PropagationIndex(graph, THETA * 2)
-        with pytest.raises(ConfigurationError, match="checkpoint was built"):
-            other.build_all(workers=1, checkpoint=checkpoint)
+        with pytest.raises(ConfigurationError, match="built with"):
+            other.build_sharded(directory, shard_nodes=SHARD_NODES)
 
     def test_resume_false_ignores_checkpoint(self, graph, tmp_path):
-        checkpoint = tmp_path / "prop.ckpt.npz"
-        seeded = PropagationIndex(graph, THETA)
-        seeded.entry(0)
-        save_propagation_index(seeded, checkpoint)
-        index = PropagationIndex(graph, THETA).build_all(
-            workers=1, checkpoint=checkpoint, resume=False
-        )
+        directory = tmp_path / "prop"
+        _build(graph, directory, workers=1)
+        index = _build(graph, directory, workers=1, resume=False)
         assert index.last_build_stats.n_resumed == 0
         assert index.last_build_stats.n_built == graph.n_nodes
 
@@ -165,46 +159,35 @@ class TestMetricsSurviveCrashes:
         from repro.obs.registry import MetricsRegistry
 
         registry = MetricsRegistry()
-        checkpoint = tmp_path / "prop.ckpt.npz"
+        directory = tmp_path / "prop"
         with _faults.fault(
             "propagation.build_entry", _faults.InterruptOnEntry(40)
         ):
             with pytest.raises(KeyboardInterrupt):
-                PropagationIndex(graph, THETA, metrics=registry).build_all(
-                    workers=1, checkpoint=checkpoint, checkpoint_every=10
-                )
+                _build(graph, directory, workers=1, metrics=registry)
         # The kill never reached stats construction, but every entry
         # finished before it is already on the registry.
-        built_before_crash = registry.counter_value("propagation.entries_built")
-        assert built_before_crash > 0
-        flushes_before_crash = registry.counter_value(
-            "propagation.checkpoint_flushes"
-        )
-        assert flushes_before_crash >= 2  # periodic flushes + exit flush
+        assert registry.counter_value("propagation.entries_built") == 40
+        assert registry.counter_value("propagation.shards_written") == 2
 
-        partial = load_propagation_index(checkpoint, graph)
-        resumed = PropagationIndex(graph, THETA, metrics=registry).build_all(
-            workers=1, checkpoint=checkpoint, checkpoint_every=10
-        )
+        resumed = _build(graph, directory, workers=1, metrics=registry)
         snapshot = registry.snapshot()
-        # Cumulative across both builds: every node built exactly once.
-        assert snapshot.counter("propagation.entries_built") == graph.n_nodes
-        assert snapshot.counter("propagation.entries_resumed") == (
-            partial.n_cached
+        # Cumulative across both builds: the interrupted shard's 8 entries
+        # were never published, so the resumed build builds them again.
+        assert snapshot.counter("propagation.entries_built") == (
+            graph.n_nodes + 40 - 2 * SHARD_NODES
         )
-        assert snapshot.counter("propagation.checkpoint_flushes") > (
-            flushes_before_crash
-        )
+        n_shards = -(-graph.n_nodes // SHARD_NODES)
+        assert snapshot.counter("propagation.shards_written") == n_shards
+        assert snapshot.counter("propagation.shards_resumed") == 2
         # The per-call stats remain scoped to the resumed build alone.
         assert resumed.last_build_stats.n_built == (
-            graph.n_nodes - partial.n_cached
+            graph.n_nodes - 2 * SHARD_NODES
         )
-        # Both build attempts closed their build_all span.
-        phase = snapshot.histogram("phase.propagation.build_all.seconds")
+        assert resumed.last_build_stats.n_resumed == 2 * SHARD_NODES
+        # Both build attempts closed their build_sharded span.
+        phase = snapshot.histogram("phase.propagation.build_sharded.seconds")
         assert phase.count == 2
-        # Only the second build had a checkpoint to load.
-        resume_phase = snapshot.histogram("phase.propagation.resume.seconds")
-        assert resume_phase.count == 1
 
     def test_retries_are_counted(self, graph):
         from repro.obs.registry import MetricsRegistry
@@ -237,16 +220,15 @@ class TestWorkerCrashRetry:
         assert stats.failed_nodes == ()
         assert index.n_cached == graph.n_nodes
 
-    def test_crash_retried_build_matches_clean_build(self, graph, tmp_path, reference_bytes):
+    def test_crash_retried_build_matches_clean_build(
+        self, graph, tmp_path, reference_digest
+    ):
+        directory = tmp_path / "prop"
         with _faults.fault(
             "propagation.worker_chunk", _faults.ExitOnChunk(0, attempts=(0,))
         ):
-            index = PropagationIndex(graph, THETA).build_all(
-                workers=2, max_retries=2, retry_backoff=0.0
-            )
-        output = tmp_path / "prop.npz"
-        save_propagation_index(index, output)
-        assert output.read_bytes() == reference_bytes
+            _build(graph, directory, workers=2, retry_backoff=0.0)
+        assert _dir_digest(directory) == reference_digest
 
     def test_serial_transient_failure_is_retried(self, graph):
         with _faults.fault(
@@ -272,8 +254,7 @@ class TestWorkerCrashRetry:
         assert stats.n_built == graph.n_nodes - 1
         assert any("failed to build" in str(w.message) for w in caught)
 
-    def test_persistent_failure_raises_in_strict_mode(self, graph, tmp_path):
-        checkpoint = tmp_path / "prop.ckpt.npz"
+    def test_persistent_failure_raises_in_strict_mode(self, graph):
         hook = _faults.FailOnEntry(7, attempts=(0, 1, 2, 3))
         with _faults.fault("propagation.build_entry", hook):
             with pytest.raises(BuildFailedError) as excinfo:
@@ -282,17 +263,13 @@ class TestWorkerCrashRetry:
                     max_retries=2,
                     retry_backoff=0.0,
                     strict=True,
-                    checkpoint=checkpoint,
                 )
         error = excinfo.value
         assert error.failed_nodes == [7]
         assert error.n_built == graph.n_nodes - 1
-        # The partial result survives: attached to the error AND flushed.
+        # The partial result survives, attached to the error.
         assert error.partial_index is not None
         assert error.partial_index.n_cached == graph.n_nodes - 1
-        assert load_propagation_index(checkpoint, graph).n_cached == (
-            graph.n_nodes - 1
-        )
 
     def test_deterministic_library_errors_are_not_retried(self):
         from repro.exceptions import BudgetExceededError
@@ -307,54 +284,75 @@ class TestWorkerCrashRetry:
 
 class TestKillDuringWrite:
     def test_destination_survives_injected_crash(self, graph, tmp_path):
-        path = tmp_path / "prop.npz"
-        index = PropagationIndex(graph, THETA)
-        index.entry(0)
-        save_propagation_index(index, path)
-        before = path.read_bytes()
-        index.entry(1)
+        directory = tmp_path / "prop"
+        save_sharded_index(
+            PropagationIndex(graph, THETA).build_all(workers=1),
+            directory, shard_nodes=SHARD_NODES,
+        )
+        before = _dir_digest(directory)
+        replacement = PropagationIndex(graph, THETA * 2).build_all(workers=1)
         with _faults.fault("artifact.pre_replace", _faults.FailOnReplace()):
             with pytest.raises(OSError, match="injected"):
-                save_propagation_index(index, path)
-        assert path.read_bytes() == before  # old artifact intact
-        assert list(tmp_path.iterdir()) == [path]  # temp file cleaned up
+                save_sharded_index(
+                    replacement, directory, shard_nodes=SHARD_NODES
+                )
+        # Old artifact intact, temp file cleaned up.
+        assert _dir_digest(directory) == before
         # The surviving artifact still loads and verifies.
-        assert load_propagation_index(path, graph).n_cached == 1
+        assert load_sharded_index(directory, graph).theta == THETA
         # A later, uninterrupted save publishes the new version.
-        save_propagation_index(index, path)
-        assert load_propagation_index(path, graph).n_cached == 2
+        save_sharded_index(replacement, directory, shard_nodes=SHARD_NODES)
+        assert load_sharded_index(directory, graph).theta == THETA * 2
+
+
+def _shard_bytes_only(hook):
+    """Apply a load-bytes *hook* to shard segments, not the manifest."""
+    def apply(*, data, path, **context):
+        if path.name.startswith("shard-"):
+            return hook(data=data, path=path, **context)
+        return None
+    return apply
 
 
 class TestBitFlipOnLoad:
     @pytest.fixture
     def artifact(self, graph, tmp_path):
-        path = tmp_path / "prop.npz"
-        index = PropagationIndex(graph, THETA).build_all(workers=1)
-        save_propagation_index(index, path)
-        return path
+        directory = tmp_path / "prop"
+        _build(graph, directory, workers=1)
+        return directory
+
+    @staticmethod
+    def _touch_all(graph, directory):
+        """Open with verification and map every shard."""
+        index = load_sharded_index(directory, graph, verify=True)
+        for node in range(graph.n_nodes):
+            index.entry(node)
+        return index
 
     @pytest.mark.parametrize("relative_offset", [0.1, 0.5, 0.9])
     def test_single_flipped_byte_rejected(self, graph, artifact, relative_offset):
         """Acceptance criterion: one flipped byte -> typed rejection."""
-        size = len(artifact.read_bytes())
-        hook = _faults.FlipByte(int(size * relative_offset))
+        size = (artifact / "shard-0000000000-0000000016.bin").stat().st_size
+        hook = _shard_bytes_only(_faults.FlipByte(int(size * relative_offset)))
         with _faults.fault("artifact.load_bytes", hook):
             with pytest.raises(ArtifactCorruptedError) as excinfo:
-                load_propagation_index(artifact, graph)
+                self._touch_all(graph, artifact)
         assert str(artifact) in str(excinfo.value)
 
     def test_flipped_byte_on_disk_rejected(self, graph, artifact):
-        raw = bytearray(artifact.read_bytes())
+        shard = sorted(artifact.glob("shard-*"))[1]
+        raw = bytearray(shard.read_bytes())
         raw[len(raw) // 3] ^= 0x01  # single bit, mid-file
-        artifact.write_bytes(bytes(raw))
+        shard.write_bytes(bytes(raw))
         with pytest.raises(ArtifactCorruptedError):
-            load_propagation_index(artifact, graph)
+            self._touch_all(graph, artifact)
 
     def test_truncated_artifact_rejected(self, graph, artifact):
-        hook = _faults.TruncateBytes(len(artifact.read_bytes()) // 2)
+        size = (artifact / "shard-0000000000-0000000016.bin").stat().st_size
+        hook = _shard_bytes_only(_faults.TruncateBytes(size // 2))
         with _faults.fault("artifact.load_bytes", hook):
-            with pytest.raises(ArtifactCorruptedError, match="unreadable NPZ"):
-                load_propagation_index(artifact, graph)
+            with pytest.raises(ArtifactCorruptedError, match="truncated"):
+                self._touch_all(graph, artifact)
 
     def test_clean_artifact_still_loads(self, graph, artifact):
-        assert load_propagation_index(artifact, graph).n_cached == graph.n_nodes
+        assert self._touch_all(graph, artifact).n_cached == graph.n_nodes

@@ -7,10 +7,10 @@ from repro._artifacts import load_npz_payload, save_npz_payload
 from repro.core import (
     PropagationIndex,
     TopicSummary,
-    load_propagation_index,
+    load_sharded_index,
     load_summaries,
     load_walk_index,
-    save_propagation_index,
+    save_sharded_index,
     save_summaries,
     save_walk_index,
 )
@@ -51,66 +51,42 @@ class TestSummaries:
 
 
 class TestPropagationIndexPersistence:
-    def test_roundtrip_entries(self, graph, tmp_path):
-        index = PropagationIndex(graph, 0.02)
-        for node in (0, 5, 11):
-            index.entry(node)
-        path = tmp_path / "prop.npz"
-        save_propagation_index(index, path)
-        loaded = load_propagation_index(path, graph)
-        assert loaded.theta == index.theta
-        assert loaded.n_cached == 3
-        for node in (0, 5, 11):
-            original = index.entry(node)
-            restored = loaded.entry(node)
-            assert restored.gamma == pytest.approx(original.gamma)
-            assert restored.marked == original.marked
-            assert restored.branches == original.branches
-
-    def test_uncached_entries_rebuild_lazily(self, graph, tmp_path):
-        index = PropagationIndex(graph, 0.02)
-        index.entry(0)
-        path = tmp_path / "prop.npz"
-        save_propagation_index(index, path)
-        loaded = load_propagation_index(path, graph)
-        fresh = loaded.entry(7)  # not persisted; rebuilt on demand
-        assert fresh.gamma == pytest.approx(
-            PropagationIndex(graph, 0.02).entry(7).gamma
-        )
+    """Γ persists only as a shard directory (:mod:`repro.core.shards`)."""
 
     def test_wrong_graph_rejected(self, graph, tmp_path):
-        index = PropagationIndex(graph, 0.02)
-        index.entry(0)
-        path = tmp_path / "prop.npz"
-        save_propagation_index(index, path)
-        other = SocialGraph(3, [(0, 1, 0.5)])
-        with pytest.raises(ConfigurationError):
-            load_propagation_index(path, other)
+        index = PropagationIndex(graph, 0.02).build_all()
+        save_sharded_index(index, tmp_path / "prop")
+        sources, targets, probs = graph.edge_arrays()
+        probs[0] = probs[0] / 2  # same node and edge counts, new weight
+        reweighted = SocialGraph.from_arrays(
+            graph.n_nodes, sources, targets, probs
+        )
+        with pytest.raises(ConfigurationError, match="different graph"):
+            load_sharded_index(tmp_path / "prop", reweighted)
 
     def test_fully_built_index_round_trips_exactly(self, graph, tmp_path):
         index = PropagationIndex(graph, 0.02, max_branches=5000).build_all()
-        path = tmp_path / "prop_full.npz"
-        save_propagation_index(index, path)
-        loaded = load_propagation_index(path, graph)
+        save_sharded_index(index, tmp_path / "prop", shard_nodes=16)
+        loaded = load_sharded_index(tmp_path / "prop", graph)
         assert loaded.n_cached == graph.n_nodes
         assert loaded.theta == index.theta
         assert loaded.max_branches == 5000
         assert loaded.strict == index.strict
-        assert loaded.memory_bytes() == index.memory_bytes()
         for node in graph.nodes:
             original = index.entry(node)
             restored = loaded.entry(node)
-            # Exact equality: floats survive the NPZ round trip bit-for-bit.
+            # Exact equality: floats survive the round trip bit-for-bit.
             assert dict(restored.gamma) == dict(original.gamma)
             assert restored.marked == original.marked
             assert restored.branches == original.branches
 
-    def test_empty_index_round_trips(self, graph, tmp_path):
-        index = PropagationIndex(graph, 0.02)
-        path = tmp_path / "prop_empty.npz"
-        save_propagation_index(index, path)
-        loaded = load_propagation_index(path, graph)
-        assert loaded.n_cached == 0
+    def test_empty_index_round_trips(self, tmp_path):
+        edgeless = SocialGraph(5, [])
+        index = PropagationIndex(edgeless, 0.02).build_all()
+        save_sharded_index(index, tmp_path / "prop", shard_nodes=2)
+        loaded = load_sharded_index(tmp_path / "prop", edgeless)
+        assert loaded.n_cached == 5
+        assert all(loaded.entry(node).size == 0 for node in range(5))
 
 
 class TestWalkIndexPersistence:
@@ -178,16 +154,6 @@ class TestCorruptedArtifacts:
     """Damaged artifacts must surface as typed errors, never raw numpy
     / json / zipfile exceptions from deep inside a loader."""
 
-    def test_truncated_propagation_npz_rejected(self, graph, tmp_path):
-        index = PropagationIndex(graph, 0.02)
-        index.entry(0)
-        path = tmp_path / "prop.npz"
-        save_propagation_index(index, path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(ArtifactCorruptedError, match="unreadable NPZ"):
-            load_propagation_index(path, graph)
-
     def test_truncated_walk_npz_rejected(self, graph, tmp_path):
         index = WalkIndex.built(graph, 3, 2, seed=1)
         path = tmp_path / "walks.npz"
@@ -196,12 +162,6 @@ class TestCorruptedArtifacts:
         path.write_bytes(raw[:-40])
         with pytest.raises(ArtifactCorruptedError):
             load_walk_index(path, graph)
-
-    def test_propagation_npz_missing_arrays_rejected(self, graph, tmp_path):
-        path = tmp_path / "prop.npz"
-        np.savez(path, theta=np.asarray([0.02]))
-        with pytest.raises(ArtifactCorruptedError, match="missing keys"):
-            load_propagation_index(path, graph)
 
     def test_walk_npz_missing_arrays_rejected(self, graph, tmp_path):
         path = tmp_path / "walks.npz"
@@ -232,20 +192,9 @@ class TestCorruptedArtifacts:
         with pytest.raises(ArtifactCorruptedError, match="checksum mismatch"):
             load_summaries(path, graph)
 
-    def test_flipped_byte_in_propagation_npz_rejected(self, graph, tmp_path):
-        index = PropagationIndex(graph, 0.02)
-        index.entry(0)
-        path = tmp_path / "prop.npz"
-        save_propagation_index(index, path)
-        raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0x01
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ArtifactCorruptedError):
-            load_propagation_index(path, graph)
-
     def test_missing_artifacts_typed_errors(self, graph, tmp_path):
         with pytest.raises(ArtifactError, match="not found"):
-            load_propagation_index(tmp_path / "nope.npz", graph)
+            load_sharded_index(tmp_path / "nope", graph)
         with pytest.raises(ArtifactError, match="not found"):
             load_walk_index(tmp_path / "nope.npz", graph)
         with pytest.raises(ArtifactError, match="not found"):

@@ -1,11 +1,14 @@
 """ServingEngine: the online-only facade must match PITEngine bit for bit."""
 
+import shutil
+
 import pytest
 
 from repro.core import (
+    GraphDelta,
     PITEngine,
     ServingEngine,
-    save_propagation_index,
+    save_sharded_index,
     save_summaries,
 )
 from repro.datasets import data_2k
@@ -68,13 +71,13 @@ class TestParity:
 class TestFromArtifacts:
     def test_round_trip_through_disk(self, built, tmp_path):
         bundle, engine = built
-        index_path = tmp_path / "prop.npz"
+        index_dir = tmp_path / "shards"
         sums_path = tmp_path / "sums.json"
-        save_propagation_index(engine.propagation_index, index_path)
+        save_sharded_index(engine.propagation_index, index_dir)
         save_summaries(engine.summaries, bundle.graph, sums_path)
         serving = ServingEngine.from_artifacts(
             bundle.graph, bundle.topic_index, sums_path,
-            index_path=index_path,
+            index_dir=index_dir,
         )
         assert serving.n_summaries == engine.n_summaries
         assert serving.theta == engine.propagation_index.theta
@@ -83,15 +86,42 @@ class TestFromArtifacts:
             user, query, k=5
         )
 
-    def test_index_path_and_dir_are_exclusive(self, built, tmp_path):
+    def test_reopen_after_delta_refused(self, built, tmp_path):
+        """A delta rewrites the served directory for the new graph, so
+        reopening it against the original graph must not serve post-delta
+        Γ over the pre-delta graph - even when the counts still match."""
         bundle, engine = built
+        built_dir = tmp_path / "built"
         sums_path = tmp_path / "sums.json"
+        save_sharded_index(engine.propagation_index, built_dir)
         save_summaries(engine.summaries, bundle.graph, sums_path)
-        with pytest.raises(ConfigurationError, match="mutually exclusive"):
+        served_dir = tmp_path / "served"
+        shutil.copytree(built_dir, served_dir)
+        serving = ServingEngine.from_artifacts(
+            bundle.graph, bundle.topic_index, sums_path,
+            index_dir=served_dir,
+        )
+        sources, targets, probs = bundle.graph.edge_arrays()
+        edge = int(targets.argmax())
+        serving.apply_delta(GraphDelta(reweights=(
+            (int(sources[edge]), int(targets[edge]), probs[edge] / 2),
+        )))
+        assert serving.graph.n_edges == bundle.graph.n_edges
+        with pytest.raises(ConfigurationError, match="different graph"):
             ServingEngine.from_artifacts(
                 bundle.graph, bundle.topic_index, sums_path,
-                index_path=tmp_path / "a.npz", index_dir=tmp_path,
+                index_dir=served_dir,
             )
+        # The post-delta directory opens against the post-delta graph,
+        # and the directory as built still opens against the original.
+        ServingEngine.from_artifacts(
+            serving.graph, bundle.topic_index, sums_path,
+            index_dir=served_dir,
+        )
+        ServingEngine.from_artifacts(
+            bundle.graph, bundle.topic_index, sums_path,
+            index_dir=built_dir,
+        )
 
     def test_wrong_graph_rejected(self, built, tmp_path):
         bundle, engine = built

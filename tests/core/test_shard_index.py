@@ -20,9 +20,8 @@ from repro._artifacts import MANIFEST_NAME
 from repro.core import (
     PITEngine,
     PropagationIndex,
-    load_propagation_index,
     load_sharded_index,
-    save_propagation_index,
+    refresh_sharded_index,
     save_sharded_index,
 )
 from repro.core.shards import (
@@ -37,7 +36,7 @@ from repro.exceptions import (
     BuildFailedError,
     ConfigurationError,
 )
-from repro.graph import preferential_attachment_graph
+from repro.graph import SocialGraph, preferential_attachment_graph
 from repro.obs import MetricsRegistry
 
 THETA = 0.01
@@ -98,19 +97,6 @@ class TestRoundTrip:
             streamed, shard_nodes=SHARD_NODES
         )
         assert _dir_digest(streamed) == _dir_digest(shard_dir)
-
-    def test_npz_migration_path(self, graph, built_index, tmp_path):
-        """Legacy NPZ -> load -> save sharded -> identical entries."""
-        npz = tmp_path / "prop.npz"
-        save_propagation_index(built_index, npz)
-        via_npz = load_propagation_index(npz, graph)
-        directory = tmp_path / "migrated"
-        save_sharded_index(via_npz, directory, shard_nodes=SHARD_NODES)
-        loaded = load_sharded_index(directory, graph)
-        for node in (0, 17, 42, graph.n_nodes - 1):
-            assert dict(loaded.entry(node).gamma) == dict(
-                built_index.entry(node).gamma
-            )
 
     def test_partial_index_rejected(self, graph, tmp_path):
         partial = PropagationIndex(graph, THETA)
@@ -355,6 +341,60 @@ class TestCorruption:
         del payload["checksum"]  # legacy-tolerant loader: no checksum field
         manifest_path.write_text(json.dumps(payload))
         with pytest.raises(ArtifactCorruptedError, match="coverage gap"):
+            load_sharded_index(directory, graph)
+
+
+def _reweighted(graph):
+    """*graph* with one edge's probability halved: same counts."""
+    sources, targets, probs = graph.edge_arrays()
+    probs[0] = probs[0] / 2
+    return SocialGraph.from_arrays(graph.n_nodes, sources, targets, probs)
+
+
+class TestGraphDigest:
+    """The manifest names the exact graph it serves, not just its counts."""
+
+    def test_reweight_then_reopen_raises(self, graph, shard_dir, tmp_path):
+        import shutil
+
+        directory = tmp_path / "served"
+        shutil.copytree(shard_dir, directory)
+        backend = load_sharded_index(directory, graph).shards
+        new_graph = _reweighted(graph)
+        refresh_sharded_index(backend, new_graph, np.arange(graph.n_nodes))
+        with pytest.raises(ConfigurationError, match="different graph"):
+            load_sharded_index(directory, graph)
+        assert load_sharded_index(directory, new_graph).n_cached == (
+            graph.n_nodes
+        )
+
+    def test_resume_onto_same_counts_graph_refused(self, graph, tmp_path):
+        directory = tmp_path / "partial"
+        with _faults.fault(
+            "propagation.build_entry",
+            _faults.InterruptOnEntry(SHARD_NODES + 3),
+        ):
+            with pytest.raises(KeyboardInterrupt):
+                PropagationIndex(graph, THETA).build_sharded(
+                    directory, shard_nodes=SHARD_NODES
+                )
+        with pytest.raises(ConfigurationError, match="rebuild"):
+            PropagationIndex(_reweighted(graph), THETA).build_sharded(
+                directory, shard_nodes=SHARD_NODES
+            )
+
+    def test_manifest_without_digest_refused(self, graph, shard_dir, tmp_path):
+        import json
+        import shutil
+
+        directory = tmp_path / "old"
+        shutil.copytree(shard_dir, directory)
+        manifest_path = directory / MANIFEST_NAME
+        payload = json.loads(manifest_path.read_text())
+        del payload["meta"]["graph_sha256"]
+        del payload["checksum"]  # legacy-tolerant loader: no checksum field
+        manifest_path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match="rebuild"):
             load_sharded_index(directory, graph)
 
 

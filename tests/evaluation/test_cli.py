@@ -78,23 +78,43 @@ class TestCommands:
             build_parser().parse_args(["build-index"])
 
     def test_build_index_then_search_reuses_it(self, capsys, tmp_path):
-        artifact = tmp_path / "prop.npz"
+        artifact = tmp_path / "prop"
         code = main([
             "build-index", "--dataset", "data_2k", "--size", "200",
             "--seed", "3", "--output", str(artifact),
         ])
         assert code == 0
-        assert artifact.exists()
-        assert "built 200 entries" in capsys.readouterr().out
+        assert (artifact / "manifest.json").exists()
+        out = capsys.readouterr().out
+        assert "built 200 entries" in out
+        assert "in shards of 4096 nodes" in out  # one shard by default
         code = main([
             "search", "--dataset", "data_2k", "--size", "200",
             "--user", "3", "--query", "phone", "--k", "3", "--seed", "3",
-            "--index", str(artifact),
+            "--index-dir", str(artifact),
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "using prebuilt propagation index" in out
+        assert "using sharded propagation index" in out
+        assert "1 shards" in out
         assert "Top-3" in out
+
+    def test_single_file_index_flags_removed(self):
+        parser = build_parser()
+        for argv in (
+            ["search"],
+            ["serve", "--summaries", "/tmp/s.json"],
+            ["precompute", "--summaries", "/tmp/s.json", "--trace", "/tmp/t",
+             "--output", "/tmp/o"],
+        ):
+            args = parser.parse_args(argv)
+            assert not hasattr(args, "index")
+            assert args.index_dir is None
+        for flag in ("--checkpoint", "--checkpoint-every"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(
+                    ["build-index", "--output", "/tmp/p", flag, "5"]
+                )
 
     def test_search_batch_workload(self, capsys, tmp_path):
         workload = tmp_path / "workload.jsonl"
@@ -152,7 +172,7 @@ class TestCommands:
         metrics_path = tmp_path / "build-metrics.json"
         code = main([
             "build-index", "--dataset", "data_2k", "--size", "200",
-            "--seed", "3", "--output", str(tmp_path / "prop.npz"),
+            "--seed", "3", "--output", str(tmp_path / "prop"),
             "--metrics-out", str(metrics_path),
         ])
         assert code == 0
@@ -160,7 +180,7 @@ class TestCommands:
         validate_metrics_json(payload)
         assert payload["counters"]["propagation.entries_built"] == 200
         assert (
-            "phase.propagation.build_all.seconds" in payload["histograms"]
+            "phase.propagation.build_sharded.seconds" in payload["histograms"]
         )
         assert payload["gauges"]["propagation.entries_cached"] == 200
 
@@ -228,34 +248,26 @@ class TestCommands:
         assert code == 2
         assert "contains no requests" in capsys.readouterr().err
 
-    def test_build_index_removes_checkpoint_on_success(self, capsys, tmp_path):
-        artifact = tmp_path / "prop.npz"
-        checkpoint = tmp_path / "prop.ckpt.npz"
-        code = main([
-            "build-index", "--dataset", "data_2k", "--size", "120",
-            "--seed", "3", "--output", str(artifact),
-            "--checkpoint", str(checkpoint), "--checkpoint-every", "40",
-        ])
-        assert code == 0
-        assert artifact.exists()
-        assert not checkpoint.exists()  # redundant once output is published
-
     def test_build_index_resume_from_checkpoint(self, capsys, tmp_path):
-        from repro.core import PropagationIndex, save_propagation_index
+        """The shard manifest is the checkpoint: --resume keeps the
+        shards an interrupted build published."""
+        from repro import _faults
+        from repro.core import PropagationIndex
         from repro.datasets import data_2k
 
         bundle = data_2k(n_nodes=120, seed=3, with_corpus=False)
+        artifact = tmp_path / "prop"
         partial = PropagationIndex(bundle.graph, 0.002, max_branches=200_000)
-        for node in range(50):
-            partial.entry(node)
-        checkpoint = tmp_path / "prop.ckpt.npz"
-        save_propagation_index(partial, checkpoint)
+        with _faults.fault(
+            "propagation.build_entry", _faults.InterruptOnEntry(60)
+        ):
+            with pytest.raises(KeyboardInterrupt):
+                partial.build_sharded(artifact, shard_nodes=50)
 
-        artifact = tmp_path / "prop.npz"
         code = main([
             "build-index", "--dataset", "data_2k", "--size", "120",
             "--seed", "3", "--output", str(artifact),
-            "--checkpoint", str(checkpoint), "--resume",
+            "--shard-nodes", "50", "--resume",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -280,7 +292,7 @@ class TestErrorHandling:
     def test_unknown_dataset_build_index_exits_2(self, capsys, tmp_path):
         code = main([
             "build-index", "--dataset", "nope",
-            "--output", str(tmp_path / "prop.npz"),
+            "--output", str(tmp_path / "prop"),
         ])
         assert code == 2
         assert "unknown dataset" in capsys.readouterr().err
@@ -289,27 +301,28 @@ class TestErrorHandling:
         code = main([
             "search", "--dataset", "data_2k", "--size", "200",
             "--user", "3", "--query", "phone", "--seed", "3",
-            "--index", str(tmp_path / "nope.npz"),
+            "--index-dir", str(tmp_path / "nope"),
         ])
         assert code == 2
         err = capsys.readouterr().err
         assert "pit-search: error:" in err and "not found" in err
 
     def test_corrupted_index_artifact_exits_2(self, capsys, tmp_path):
-        artifact = tmp_path / "prop.npz"
+        artifact = tmp_path / "prop"
         code = main([
             "build-index", "--dataset", "data_2k", "--size", "120",
             "--seed", "3", "--output", str(artifact),
         ])
         assert code == 0
         capsys.readouterr()
-        raw = bytearray(artifact.read_bytes())
+        manifest = artifact / "manifest.json"
+        raw = bytearray(manifest.read_bytes())
         raw[len(raw) // 2] ^= 0x10  # flip one bit mid-file
-        artifact.write_bytes(bytes(raw))
+        manifest.write_bytes(bytes(raw))
         code = main([
             "search", "--dataset", "data_2k", "--size", "120",
             "--user", "3", "--query", "phone", "--seed", "3",
-            "--index", str(artifact),
+            "--index-dir", str(artifact),
         ])
         assert code == 2
         err = capsys.readouterr().err
@@ -375,12 +388,3 @@ class TestServeParser:
         assert args.max_batch == 8
         assert args.default_deadline_ms == 5000
         assert args.drain_seconds == 10.0
-
-    def test_serve_index_and_index_dir_exclusive(self, capsys):
-        code = main([
-            "serve", "--summaries", "/tmp/s.json",
-            "--index", "/tmp/a.npz", "--index-dir", "/tmp/b",
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "mutually exclusive" in err

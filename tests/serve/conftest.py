@@ -12,7 +12,10 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import shutil
+import tempfile
 import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -20,7 +23,7 @@ import pytest
 from repro.core import (
     PITEngine,
     ServingEngine,
-    save_propagation_index,
+    save_sharded_index,
     save_summaries,
 )
 from repro.datasets import data_2k
@@ -34,15 +37,15 @@ def build_stack(seed: int, n_nodes: int, directory):
     engine = PITEngine.from_dataset(bundle, summarizer="rcl", seed=seed)
     engine.propagation_index.build_all(workers=1)
     engine.build_summaries()
-    index_path = directory / f"prop_{seed}.npz"
+    index_dir = directory / f"shards_{seed}"
     sums_path = directory / f"sums_{seed}.json"
-    save_propagation_index(engine.propagation_index, index_path)
+    save_sharded_index(engine.propagation_index, index_dir)
     save_summaries(engine.summaries, bundle.graph, sums_path)
     return SimpleNamespace(
         seed=seed,
         bundle=bundle,
         engine=engine,
-        index_path=index_path,
+        index_dir=index_dir,
         sums_path=sums_path,
     )
 
@@ -63,24 +66,20 @@ def stack(stacks):
     return stacks[7]
 
 
-def make_loader(stack, registry, *, answer_cache_bytes=None,
+def make_loader(stack, registry, index_dir, *, answer_cache_bytes=None,
                 precompute_path=None):
     """The same loader shape the CLI builds: paths + overrides -> engine."""
-    base = {"summaries": str(stack.sums_path), "index": str(stack.index_path)}
+    base = {"summaries": str(stack.sums_path), "index_dir": str(index_dir)}
     if precompute_path is not None:
         base["precompute"] = str(precompute_path)
 
     def loader(overrides):
-        paths = dict(base)
-        paths.update(overrides)
-        if "index_dir" in overrides:
-            paths.pop("index", None)
+        paths = {**base, **overrides}
         return ServingEngine.from_artifacts(
             stack.bundle.graph,
             stack.bundle.topic_index,
             paths["summaries"],
-            index_path=paths.get("index"),
-            index_dir=paths.get("index_dir"),
+            index_dir=paths["index_dir"],
             answer_cache_bytes=answer_cache_bytes,
             precompute_path=paths.get("precompute"),
             metrics=registry,
@@ -90,14 +89,21 @@ def make_loader(stack, registry, *, answer_cache_bytes=None,
 
 
 class DaemonHarness:
-    """A PITServer on a real socket, driven from a background thread."""
+    """A PITServer on a real socket, driven from a background thread.
+
+    A delta rewrites the shard directory a daemon serves, so every
+    harness serves its own copy of the stack's shards (``index_dir``).
+    """
 
     def __init__(self, stack, config=None, registry=None,
                  answer_cache_bytes=None, precompute_path=None):
         self.registry = registry if registry is not None else MetricsRegistry()
+        self._scratch = Path(tempfile.mkdtemp(prefix="pit-served-"))
+        self.index_dir = self._scratch / "shards"
+        shutil.copytree(stack.index_dir, self.index_dir)
         self.server = PITServer(
             make_loader(
-                stack, self.registry,
+                stack, self.registry, self.index_dir,
                 answer_cache_bytes=answer_cache_bytes,
                 precompute_path=precompute_path,
             ),
@@ -125,6 +131,7 @@ class DaemonHarness:
             self._thread.join(timeout)
             if self._thread.is_alive():
                 raise RuntimeError("daemon did not drain in time")
+        shutil.rmtree(self._scratch, ignore_errors=True)
         return self.exit_code
 
     # ------------------------------------------------------------------

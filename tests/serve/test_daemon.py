@@ -291,7 +291,7 @@ class TestRealSignals:
                 sys.executable, "-m", "repro.cli", "serve",
                 "--dataset", "data_2k", "--size", "140", "--seed", "7",
                 "--summaries", str(stack.sums_path),
-                "--index", str(stack.index_path),
+                "--index-dir", str(stack.index_dir),
                 "--port", "0", "--drain-seconds", "5",
             ],
             stdout=subprocess.PIPE,

@@ -79,6 +79,27 @@ class TestDeltaRoute:
         status, _, _ = daemon.search(0, "phone")
         assert status == 200
 
+    def test_reload_after_delta_refused_old_engine_serves(self, daemon):
+        """A delta rewrote the configured shard directory for the edited
+        graph; reloading it over the original graph must be refused, and
+        the post-delta engine keeps answering."""
+        s, t, p = existing_edges(daemon.server.engines.current.graph)[0]
+        status, _, _ = daemon.request(
+            "POST", "/admin/delta",
+            {"reweights": [[s, t, round(p * 0.5, 6)]]},
+        )
+        assert status == 200
+        status, before, _ = daemon.search(3, "phone", k=5)
+        assert status == 200
+        status, body, _ = daemon.request("POST", "/admin/reload", {})
+        assert status == 400
+        assert body["error"]["type"] == "ConfigurationError"
+        assert "different graph" in body["error"]["message"]
+        status, after, _ = daemon.search(3, "phone", k=5)
+        assert status == 200
+        assert after["generation"] == before["generation"]
+        assert after["results"] == before["results"]
+
     def test_get_method_rejected(self, daemon):
         status, body, _ = daemon.request("GET", "/admin/delta")
         assert status == 405

@@ -98,24 +98,22 @@ class TestParseReloadRequest:
 
     def test_overrides_pass_through(self):
         overrides = parse_reload_request(
-            _encode({"summaries": "/tmp/s.json", "index": "/tmp/p.npz"})
+            _encode({"summaries": "/tmp/s.json", "index_dir": "/tmp/p"})
         )
-        assert overrides == {"summaries": "/tmp/s.json", "index": "/tmp/p.npz"}
+        assert overrides == {"summaries": "/tmp/s.json", "index_dir": "/tmp/p"}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(HttpError) as exc:
             parse_reload_request(_encode({"indexdir": "/x"}))
         assert exc.value.status == 400
-
-    def test_index_and_index_dir_exclusive(self):
-        with pytest.raises(HttpError, match="mutually exclusive"):
-            parse_reload_request(
-                _encode({"index": "/a", "index_dir": "/b"})
-            )
+        # The single-file index format is gone; so is its reload field.
+        with pytest.raises(HttpError) as exc:
+            parse_reload_request(_encode({"index": "/x.npz"}))
+        assert exc.value.status == 400
 
     def test_non_string_path_rejected(self):
         with pytest.raises(HttpError):
-            parse_reload_request(_encode({"index": 5}))
+            parse_reload_request(_encode({"index_dir": 5}))
 
 
 class TestErrorMapping:
